@@ -109,5 +109,8 @@ def parse_config(path) -> ExperimentConfig:
 
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
-        values["seed"] = int(env_seed)
+        try:
+            values["seed"] = int(env_seed)
+        except ValueError as exc:
+            raise ParseError(f"{SEED_ENV_VAR}={env_seed!r} is not an integer") from exc
     return ExperimentConfig(**values)

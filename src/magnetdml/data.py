@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -21,7 +22,7 @@ from .errors import ConfigurationError, ParseError
 class Dataset:
     """Labelled feature vectors with optional per-example binary attributes.
 
-    ``inputs`` is (N, d) float64, ``labels`` is (N,) integer with every value
+    ``inputs`` is (N, d) finite float64, ``labels`` is (N,) integer with every value
     in [0, class_count) and every class represented at least once.
     ``attributes`` is either None or a row-aligned (N, A) 0/1 array; a dataset
     without attributes stores None so attribute metrics refuse to run instead
@@ -37,6 +38,8 @@ class Dataset:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.inputs.ndim != 2 or len(self.inputs) == 0:
             raise ConfigurationError("inputs must be a non-empty (N, d) array")
+        if not np.isfinite(self.inputs).all():
+            raise ConfigurationError("inputs must be finite (no NaN or inf)")
         if self.labels.shape != (len(self.inputs),):
             raise ConfigurationError("labels must align with inputs")
         if self.labels.min() < 0:
@@ -177,6 +180,8 @@ def load_dataset(path, attributes_path=None) -> Dataset:
                 rows.append([float(v) for v in row[1:]])
             except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+            if not all(map(math.isfinite, rows[-1])):
+                raise ParseError(f"{path}: line {lineno}: non-finite feature value")
     if not rows:
         raise ParseError(f"{path}: no data rows")
 

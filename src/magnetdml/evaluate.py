@@ -9,6 +9,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigurationError, ContractError
+from .index import _sqdist
 
 
 @dataclass
@@ -33,24 +34,35 @@ class EvalContext:
             raise ConfigurationError("L must be >= 1")
 
 
+def _stable_nearest(d2: np.ndarray, l: int) -> np.ndarray:
+    """``np.argsort(d2, axis=1, kind="stable")[:, :l]``, sorting only a
+    partitioned block of l columns. Rows whose l-th value is NaN or tied with
+    a column outside the block are sorted in full."""
+    if not 0 < l < d2.shape[1]:
+        return np.argsort(d2, axis=1, kind="stable")[:, :l]
+    block = np.sort(np.argpartition(d2, l - 1, axis=1)[:, :l], axis=1)
+    values = np.take_along_axis(d2, block, axis=1)
+    nearest = np.take_along_axis(block, np.argsort(values, axis=1, kind="stable"), axis=1)
+    redo = np.flatnonzero((d2 <= values.max(axis=1, keepdims=True)).sum(axis=1) != l)
+    nearest[redo] = np.argsort(d2[redo], axis=1, kind="stable")[:, :l]
+    return nearest
+
+
 def _retrieve_scores(ctx: EvalContext, reps: np.ndarray) -> np.ndarray:
-    """Per-class kernel mass over each query's L nearest references, (n, C)."""
+    """Per-class kernel mass over each query's L nearest references, (n, C).
+    References rank by (squared distance, index): at equal distance the lower
+    index is nearer, so ties never make the L nearest ambiguous."""
     reps = np.atleast_2d(np.asarray(reps, dtype=np.float64))
-    refs = ctx.references
-    d2 = np.maximum(
-        (reps * reps).sum(1)[:, None] + (refs * refs).sum(1)[None, :] - 2.0 * reps @ refs.T,
-        0.0,
-    )
-    l = min(ctx.l, len(refs))
-    n_classes = int(ctx.classes.max()) + 1
-    scores = np.zeros((len(reps), n_classes))
-    inv2s = 1.0 / (2.0 * ctx.sigma2)
-    for i in range(len(reps)):
-        nearest = np.argsort(d2[i], kind="stable")[:l]
-        logits = -d2[i, nearest] * inv2s
-        mass = np.exp(logits - logits.max())
-        mass /= mass.sum()
-        np.add.at(scores[i], ctx.classes[nearest], mass)
+    d2 = _sqdist(reps, ctx.references)
+    nearest = _stable_nearest(d2, min(ctx.l, len(ctx.references)))
+    logits = -np.take_along_axis(d2, nearest, axis=1) * (1.0 / (2.0 * ctx.sigma2))
+    mass = np.exp(logits - logits.max(axis=1, keepdims=True))
+    mass /= mass.sum(axis=1, keepdims=True)
+    scores = np.zeros((len(reps), int(ctx.classes.max()) + 1))
+    # flat 1-D indices: the 2-D form of add.at adds its operands in the other
+    # order, which changes which NaN payload survives
+    cells = np.arange(len(reps))[:, None] * scores.shape[1] + ctx.classes[nearest]
+    np.add.at(scores.reshape(-1), cells.ravel(), mass.ravel())
     return scores
 
 
@@ -98,7 +110,7 @@ def attribute_precision(
         raise ConfigurationError("neighbourhood sizes must lie in [1, N)")
     d2 = (reps * reps).sum(1)[:, None] + (reps * reps).sum(1)[None, :] - 2.0 * reps @ reps.T
     np.fill_diagonal(d2, np.inf)
-    order = np.argsort(d2, axis=1, kind="stable")
+    order = _stable_nearest(d2, max(sizes, default=1))
 
     out = {}
     for size in sizes:
@@ -118,7 +130,7 @@ def attribute_precision_values(representations, attributes, size: int) -> np.nda
     attrs = np.asarray(attributes, dtype=np.float64)
     d2 = (reps * reps).sum(1)[:, None] + (reps * reps).sum(1)[None, :] - 2.0 * reps @ reps.T
     np.fill_diagonal(d2, np.inf)
-    order = np.argsort(d2, axis=1, kind="stable")[:, :size]
+    order = _stable_nearest(d2, size)
     frac = attrs[order].mean(axis=1)
     return frac[attrs > 0]
 

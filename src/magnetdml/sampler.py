@@ -90,6 +90,8 @@ def sample_triplets(
     uniform over the nearest ``impostor_fraction`` quantile of other-class
     examples by current representation distance (1.0 = unmined).
 
+    Impostors rank by (squared distance, index): at equal distance the lower
+    index is nearer, so the quantile pool is well defined under ties.
     Returns (seed_idx, positive_idx, negative_idx) arrays of length ``count``.
     """
     if not 0 < impostor_fraction <= 1:
@@ -100,6 +102,7 @@ def sample_triplets(
         raise ConfigurationError("triplet sampling needs at least two classes")
     rng = np.random.default_rng(rng)
     class_members = {int(c): np.flatnonzero(labels == c) for c in np.unique(labels)}
+    class_others = {c: np.flatnonzero(labels != c) for c in class_members}
     seedable = np.concatenate(
         [m for m in class_members.values() if len(m) >= 2]
     )
@@ -115,13 +118,18 @@ def sample_triplets(
         while pos == s:
             pos = int(rng.choice(same))
         positives[t] = pos
-        others = np.flatnonzero(labels != labels[s])
+        others = class_others[int(labels[s])]
         if impostor_fraction >= 1.0:
             negatives[t] = int(rng.choice(others))
+            continue
+        # draw the pool rank first (the same stream as choosing from the
+        # pool), then select the impostor at that rank without a full sort
+        j = int(rng.integers(max(1, int(np.ceil(impostor_fraction * len(others))))))
+        diff = reps - reps[s]
+        d2 = np.einsum("ij,ij->i", diff, diff)[others]
+        v = np.partition(d2, j)[j]
+        if np.isnan(v):  # NaNs rank last, in index order
+            negatives[t] = others[np.argsort(d2, kind="stable")[j]]
         else:
-            diff = reps[others] - reps[s]
-            d2 = np.einsum("ij,ij->i", diff, diff)
-            pool_size = max(1, int(np.ceil(impostor_fraction * len(others))))
-            pool = others[np.argsort(d2, kind="stable")[:pool_size]]
-            negatives[t] = int(rng.choice(pool))
+            negatives[t] = others[np.flatnonzero(d2 == v)[j - np.count_nonzero(d2 < v)]]
     return seeds.astype(np.int64), positives, negatives

@@ -118,6 +118,13 @@ class TestTrain:
         assert (out_a / "checkpoint.bin").read_bytes() != (out_b / "checkpoint.bin").read_bytes()
         assert (out_b / "checkpoint.bin").read_bytes() == (out_c / "checkpoint.bin").read_bytes()
 
+    def test_non_integer_env_seed_errors(self, tmp_path, monkeypatch, capsys):
+        config = write_config(tmp_path)
+        monkeypatch.setenv("MAGNETDML_SEED", "abc")
+        assert main(["train", str(config), str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "MAGNETDML_SEED" in err
+
     def test_resume_matches_uninterrupted(self, tmp_path):
         full = write_config(tmp_path, name="full.cfg", iterations=60)
         half = write_config(tmp_path, name="half.cfg", iterations=40)

@@ -30,6 +30,11 @@ class TestDatasetInvariants:
             Dataset(inputs=np.zeros((2, 1)), labels=np.array([0, 1]),
                     attributes=np.array([[2, 0], [0, 1]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_inputs_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="finite"):
+            Dataset(inputs=np.array([[0.0], [bad]]), labels=np.array([0, 1]))
+
 
 class TestGenerateMixture:
     def test_zero_variance_single_mode(self):
@@ -88,6 +93,13 @@ class TestLoadDataset:
         p = tmp_path / "d.csv"
         p.write_text("label,f0,f1\n0,1.0,2.0\n1,3.0,4.0\n0,1.0,2.0,3.0\n")
         with pytest.raises(ParseError, match="line 4"):
+            load_dataset(p)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "infinity"])
+    def test_non_finite_value_names_line(self, tmp_path, bad):
+        p = tmp_path / "d.csv"
+        p.write_text(f"label,f0,f1\n0,1.0,2.0\n\n1,3.0,{bad}\n")
+        with pytest.raises(ParseError, match="line 4: non-finite"):
             load_dataset(p)
 
     def test_roundtrip(self, tmp_path, small_dataset):

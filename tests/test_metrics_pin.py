@@ -1,0 +1,53 @@
+"""Pinned ``metrics.csv`` bytes for a small fixed config per objective.
+
+The hashes were recorded before the nearest-neighbour selection in the
+triplet sampler and the soft-kNN/kNC evaluation was vectorised; a speed-up
+that moves any rng draw or any floating-point sum changes them. The triplet
+run mines the nearest 20% of impostors and evaluates soft kNN with L smaller
+than the reference set, so both vectorised selections are on the path.
+"""
+
+import hashlib
+
+import pytest
+
+from magnetdml import ExperimentConfig, MixtureSpec, Mode, generate_mixture, split
+from magnetdml.training import train, write_metrics_csv
+
+PINNED_SHA256 = {
+    "triplet": "ed8a5adac5c71808b769890912492493422afe6a5ef68459b94ea8c3477e6355",
+    "nca": "3a5185c1f92ab097819bc8e559811c89f1352182a47496e406e46093a3f9f756",
+    "magnet": "a66d9d5aceb7fc2ffdfae87b7b8e5463f8c605475fc3097b0f7ba1d8ab508463",
+}
+
+COMMON = dict(
+    layer_dims=[4, 16, 8], iterations=120, eval_interval=20, refresh_interval=30,
+    epoch_length=60, eval_l=24, seed=5,
+)
+CONFIGS = {
+    "triplet": dict(objective="triplet", learning_rate=0.002, alpha=0.5,
+                    impostor_fraction=0.2, batch_size=16),
+    "nca": dict(objective="nca", learning_rate=0.002, batch_size=16),
+    "magnet": dict(objective="magnet", learning_rate=0.01, k=2, m=4, d=4),
+}
+
+
+def pin_data():
+    centers = [
+        [[0, 0, 0, 0], [3, 3, 0, 0]],
+        [[0, 3, 0, 0], [3, 0, 0, 0]],
+        [[0, 0, 3, 0], [0, 0, 0, 3]],
+        [[0, 0, 3, 3], [3, 3, 3, 3]],
+    ]
+    spec = MixtureSpec(classes=[[Mode(c, 1.0, 40) for c in modes] for modes in centers])
+    return split(generate_mixture(spec, seed=13), 0.2, seed=13)
+
+
+@pytest.mark.parametrize("objective", sorted(CONFIGS))
+def test_metrics_csv_bytes_pinned(objective, tmp_path):
+    config = ExperimentConfig(**COMMON, **CONFIGS[objective])
+    train_data, test_data = pin_data()
+    result = train(config, train_data, test_data)
+    path = tmp_path / "metrics.csv"
+    write_metrics_csv(result.metrics, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SHA256[objective]
