@@ -15,8 +15,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .config import ExperimentConfig, parse_config
 from .data import MixtureSpec, generate_mixture, load_dataset, save_dataset
 from .errors import ConfigurationError, ContractError, ParseError
@@ -24,7 +22,7 @@ from .evaluate import EvalContext, classify_batch, error_rate
 from .gradcheck import check_all_objectives
 from .index import build_index
 from .model import EmbeddingModel
-from .training import bench, build_report, train, write_metrics_csv
+from .training import _reference_sigma2, bench, build_report, train, write_metrics_csv
 
 
 def main(argv=None) -> int:
@@ -89,8 +87,8 @@ def _dispatch(args) -> int:
 
             resume_state = load_training_state(args.resume)
         result = train(config, resume_state=resume_state, checkpoint_dir=outdir)
+        # train() has saved checkpoint.bin and training_state.json to outdir
         write_metrics_csv(result.metrics, outdir / "metrics.csv")
-        result.model.save(outdir / "checkpoint.bin")
         report = build_report(config, result)
         (outdir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
         print(f"final error: {report['error_rate']:.4f} ({report['metric']})")
@@ -104,18 +102,12 @@ def _dispatch(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         if args.objective == "magnet":
             idx = build_index(model, refs, k=args.k, seed=0)
-            sigma2 = args.sigma2 if args.sigma2 else idx.variance
+            sigma2 = idx.variance if args.sigma2 is None else args.sigma2
             ctx = EvalContext(idx.centers, idx.cluster_classes, sigma2, l=args.l)
             metric = "knc"
         else:
             reps = model.embed(refs.inputs)
-            resid = np.concatenate([
-                reps[refs.labels == c] - reps[refs.labels == c].mean(axis=0)
-                for c in range(refs.class_count)
-            ])
-            sigma2 = args.sigma2 or max(
-                float(np.einsum("ij,ij->i", resid, resid).sum() / max(len(reps) - 1, 1)), 1e-8
-            )
+            sigma2 = _reference_sigma2(reps, refs.labels) if args.sigma2 is None else args.sigma2
             ctx = EvalContext(reps, refs.labels, sigma2, l=args.l)
             metric = "soft_knn"
         preds = classify_batch(ctx, model.embed(test.inputs))

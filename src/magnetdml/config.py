@@ -60,8 +60,9 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"m*d = {self.m * self.d} exceeds the batch cap {self.max_batch}"
             )
-        if self.iterations < 0 or self.eval_interval < 1:
-            raise ConfigurationError("iterations must be >= 0 and eval_interval >= 1")
+        if self.iterations < 0 or self.eval_interval < 1 or self.refresh_interval < 1:
+            raise ConfigurationError(
+                "iterations must be >= 0, eval_interval and refresh_interval >= 1")
 
     def optimizer(self) -> OptimizerConfig:
         return OptimizerConfig(

@@ -9,7 +9,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigurationError, ContractError
-from .index import _sqdist
+from .index import sqdist
 
 
 @dataclass
@@ -53,7 +53,7 @@ def _retrieve_scores(ctx: EvalContext, reps: np.ndarray) -> np.ndarray:
     References rank by (squared distance, index): at equal distance the lower
     index is nearer, so ties never make the L nearest ambiguous."""
     reps = np.atleast_2d(np.asarray(reps, dtype=np.float64))
-    d2 = _sqdist(reps, ctx.references)
+    d2 = sqdist(reps, ctx.references)
     nearest = _stable_nearest(d2, min(ctx.l, len(ctx.references)))
     logits = -np.take_along_axis(d2, nearest, axis=1) * (1.0 / (2.0 * ctx.sigma2))
     mass = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -79,7 +79,10 @@ def soft_knn_classify(ctx: EvalContext, representation: np.ndarray):
 
 
 def classify_batch(ctx: EvalContext, representations: np.ndarray) -> np.ndarray:
-    return _retrieve_scores(ctx, representations).argmax(axis=1)
+    scores = _retrieve_scores(ctx, representations)
+    if not np.isfinite(scores).all():
+        raise ContractError("classification scores are not finite")
+    return scores.argmax(axis=1)
 
 
 def error_rate(predictions, labels) -> float:
@@ -103,14 +106,8 @@ def attribute_precision(
     """
     if attributes is None:
         raise ConfigurationError("dataset has no attributes")
-    reps = np.atleast_2d(np.asarray(representations, dtype=np.float64))
     attrs = np.asarray(attributes, dtype=np.float64)
-    n = len(reps)
-    if any(s < 1 or s >= n for s in sizes):
-        raise ConfigurationError("neighbourhood sizes must lie in [1, N)")
-    d2 = (reps * reps).sum(1)[:, None] + (reps * reps).sum(1)[None, :] - 2.0 * reps @ reps.T
-    np.fill_diagonal(d2, np.inf)
-    order = _stable_nearest(d2, max(sizes, default=1))
+    order = _nearest_others(representations, sizes)
 
     out = {}
     for size in sizes:
@@ -126,13 +123,19 @@ def attribute_precision(
 
 def attribute_precision_values(representations, attributes, size: int) -> np.ndarray:
     """Per-incidence precision values at one size (for uncertainty estimates)."""
-    reps = np.atleast_2d(np.asarray(representations, dtype=np.float64))
     attrs = np.asarray(attributes, dtype=np.float64)
-    d2 = (reps * reps).sum(1)[:, None] + (reps * reps).sum(1)[None, :] - 2.0 * reps @ reps.T
-    np.fill_diagonal(d2, np.inf)
-    order = _stable_nearest(d2, size)
-    frac = attrs[order].mean(axis=1)
+    frac = attrs[_nearest_others(representations, [size])].mean(axis=1)
     return frac[attrs > 0]
+
+
+def _nearest_others(representations, sizes: Sequence[int]) -> np.ndarray:
+    """Each example's max(sizes) nearest other examples, nearest first."""
+    reps = np.atleast_2d(np.asarray(representations, dtype=np.float64))
+    if any(s < 1 or s >= len(reps) for s in sizes):
+        raise ConfigurationError("neighbourhood sizes must lie in [1, N)")
+    d2 = sqdist(reps, reps)
+    np.fill_diagonal(d2, np.inf)
+    return _stable_nearest(d2, max(sizes, default=1))
 
 
 def hierarchy_recovery_eval(

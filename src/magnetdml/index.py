@@ -40,7 +40,7 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 100, history=
 
     assignments = None
     for _ in range(max_iters):
-        d2 = _sqdist(points, centers)
+        d2 = sqdist(points, centers)
         new_assignments = d2.argmin(axis=1)
         if history is not None:
             history.append(float(d2[np.arange(n), new_assignments].sum()))
@@ -55,7 +55,7 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 100, history=
                 resid = points - centers[assignments]
                 worst = np.einsum("ij,ij->i", resid, resid).argmax()
                 centers[j] = points[worst]
-    d2 = _sqdist(points, centers)
+    d2 = sqdist(points, centers)
     assignments = d2.argmin(axis=1)
     objective = float(d2[np.arange(n), assignments].sum())
     return centers, assignments, objective
@@ -78,7 +78,8 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centers
 
 
-def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of a and b, clamped at 0."""
     return np.maximum(
         (a * a).sum(1)[:, None] + (b * b).sum(1)[None, :] - 2.0 * a @ b.T, 0.0
     )

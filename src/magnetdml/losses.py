@@ -19,8 +19,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import ConfigurationError, ContractError
-
-VARIANCE_FLOOR = 1e-8
+from .index import VARIANCE_FLOOR, kmeans, sqdist
+from .model import momentum_sgd
 
 
 @dataclass
@@ -84,9 +84,7 @@ def magnet_minibatch_loss(
         v, floored = 0.5, True
     inv2v = 1.0 / (2.0 * v)
 
-    d2 = np.maximum(
-        (reps * reps).sum(1)[:, None] + (mu * mu).sum(1)[None, :] - 2.0 * reps @ mu.T, 0.0
-    )
+    d2 = sqdist(reps, mu)
     classes = cluster_classes[example_clusters]
     impostor = cluster_classes[None, :] != classes[:, None]
     if not impostor.any(axis=1).all():
@@ -137,13 +135,7 @@ def magnet_full_objective(index, representations, labels, config: MagnetConfig =
     labels = np.asarray(labels)
     v = max(index.variance, VARIANCE_FLOOR)
     inv2v = 1.0 / (2.0 * v)
-    centers = index.centers
-    d2 = np.maximum(
-        (reps * reps).sum(1)[:, None]
-        + (centers * centers).sum(1)[None, :]
-        - 2.0 * reps @ centers.T,
-        0.0,
-    )
+    d2 = sqdist(reps, index.centers)
     own = d2[np.arange(len(reps)), index.example_cluster]
     impostor = index.cluster_classes[None, :] != labels[:, None]
     logits = np.where(impostor, -d2 * inv2v, -np.inf)
@@ -247,10 +239,7 @@ def nca_loss(representations: np.ndarray, labels: np.ndarray) -> NcaLossResult:
     reps = np.atleast_2d(np.asarray(representations, dtype=np.float64))
     labels = np.asarray(labels)
     n = len(reps)
-    d2 = np.maximum(
-        (reps * reps).sum(1)[:, None] + (reps * reps).sum(1)[None, :] - 2.0 * reps @ reps.T,
-        0.0,
-    )
+    d2 = sqdist(reps, reps)
     same = labels[:, None] == labels[None, :]
     eye = np.eye(n, dtype=bool)
     valid = (same & ~eye).any(axis=1)
@@ -297,8 +286,6 @@ class NcmModel:
 
     @classmethod
     def fit_centroids(cls, inputs, labels, out_dim: int, k: int, seed: int = 0) -> "NcmModel":
-        from .index import kmeans
-
         inputs = np.asarray(inputs, dtype=np.float64)
         labels = np.asarray(labels)
         c = int(labels.max()) + 1
@@ -398,10 +385,5 @@ class LinearHead:
         return loss, dlogits @ self.w, dlogits.T @ reps, dlogits.sum(axis=0)
 
     def sgd_step(self, grad_w, grad_b, config, iteration: int):
-        rate = config.learning_rate * config.anneal_factor ** (
-            iteration // config.epoch_length
-        )
-        self.w_velocity = config.momentum * self.w_velocity - rate * grad_w
-        self.b_velocity = config.momentum * self.b_velocity - rate * grad_b
-        self.w = self.w + self.w_velocity
-        self.b = self.b + self.b_velocity
+        momentum_sgd([self.w, self.b], [self.w_velocity, self.b_velocity],
+                     [grad_w, grad_b], config, iteration)

@@ -119,21 +119,12 @@ class EmbeddingModel:
         return w_grads, b_grads
 
     def sgd_step(self, gradients, config: OptimizerConfig, iteration: int):
-        """velocity <- m*velocity - rate*grad; param += velocity (rate annealed per epoch)."""
+        """One :func:`momentum_sgd` step over every weight and bias."""
         w_grads, b_grads = gradients
-        rate = config.learning_rate * config.anneal_factor ** (
-            iteration // config.epoch_length
+        momentum_sgd(
+            self.weights + self.biases, self.w_velocity + self.b_velocity,
+            list(w_grads) + list(b_grads), config, iteration,
         )
-        for params, vels, grads in (
-            (self.weights, self.w_velocity, w_grads),
-            (self.biases, self.b_velocity, b_grads),
-        ):
-            for p, v, g in zip(params, vels, grads):
-                if g.shape != p.shape:
-                    raise ContractError("gradient shape does not match parameter")
-                v *= config.momentum
-                v -= rate * g
-                p += v
         self._version += 1
 
     def snapshot(self) -> "EmbeddingModel":
@@ -168,37 +159,56 @@ class EmbeddingModel:
         w_grads, b_grads = gradients
         return np.concatenate([g.ravel() for g in w_grads] + [g.ravel() for g in b_grads])
 
-    def save(self, path):
+    def to_bytes(self) -> bytes:
         """Binary checkpoint: magic, layer count, dims, then row-major W and b arrays."""
-        with Path(path).open("wb") as fh:
-            fh.write(_CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<q", len(self.layer_dims)))
-            fh.write(np.asarray(self.layer_dims, dtype="<i8").tobytes())
-            for w, b in zip(self.weights, self.biases):
-                fh.write(w.astype("<f8").tobytes())
-                fh.write(b.astype("<f8").tobytes())
+        parts = [_CHECKPOINT_MAGIC, struct.pack("<q", len(self.layer_dims)),
+                 np.asarray(self.layer_dims, dtype="<i8").tobytes()]
+        for w, b in zip(self.weights, self.biases):
+            parts += [w.astype("<f8").tobytes(), b.astype("<f8").tobytes()]
+        return b"".join(parts)
+
+    def save(self, path):
+        Path(path).write_bytes(self.to_bytes())
 
     @classmethod
     def load(cls, path) -> "EmbeddingModel":
+        """Read a checkpoint written by :meth:`save`. Any file that is not one,
+        including one whose weights are not finite, is a ``ParseError``."""
         raw = Path(path).read_bytes()
-        if raw[: len(_CHECKPOINT_MAGIC)] != _CHECKPOINT_MAGIC:
+        off = len(_CHECKPOINT_MAGIC) + 8
+        if raw[: len(_CHECKPOINT_MAGIC)] != _CHECKPOINT_MAGIC or len(raw) < off:
             raise ParseError(f"{path}: not a model checkpoint")
-        off = len(_CHECKPOINT_MAGIC)
-        (n_dims,) = struct.unpack_from("<q", raw, off)
-        off += 8
+        (n_dims,) = struct.unpack_from("<q", raw, off - 8)
+        if not 2 <= n_dims <= (len(raw) - off) // 8:
+            raise ParseError(f"{path}: bad layer count {n_dims}")
         dims = np.frombuffer(raw, dtype="<i8", count=n_dims, offset=off).tolist()
         off += 8 * n_dims
+        # check the size the dims imply before allocating anything from them
+        if min(dims) < 1 or off + 8 * sum(o * (i + 1) for i, o in zip(dims, dims[1:])) != len(raw):
+            raise ParseError(f"{path}: layer dims {dims} do not match the file size")
         model = cls(dims, seed=0)
         for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
             w = np.frombuffer(raw, dtype="<f8", count=fan_out * fan_in, offset=off)
             off += 8 * fan_out * fan_in
             b = np.frombuffer(raw, dtype="<f8", count=fan_out, offset=off)
             off += 8 * fan_out
+            if not (np.isfinite(w).all() and np.isfinite(b).all()):
+                raise ParseError(f"{path}: non-finite weights in layer {i}")
             model.weights[i] = w.reshape(fan_out, fan_in).copy()
             model.biases[i] = b.copy()
-        if off != len(raw):
-            raise ParseError(f"{path}: trailing bytes in checkpoint")
         return model
+
+
+def momentum_sgd(params, velocities, grads, config: OptimizerConfig, iteration: int):
+    """velocity <- m*velocity - rate*grad; param += velocity, in place, with
+    the rate annealed by ``anneal_factor`` every ``epoch_length`` iterations."""
+    rate = config.learning_rate * config.anneal_factor ** (iteration // config.epoch_length)
+    for p, v, g in zip(params, velocities, grads):
+        if g.shape != p.shape:
+            raise ContractError("gradient shape does not match parameter")
+        v *= config.momentum
+        v -= rate * g
+        p += v
 
 
 @dataclass

@@ -1,26 +1,40 @@
-"""Training loops, evaluation reports, benchmarking and checkpoint/resume.
+"""Training: one loop for every objective, reports, benchmarking, resume.
 
-The magnet loop follows: sample neighbourhood -> forward -> minibatch loss ->
-backward -> SGD step -> cache example losses, rebuilding the cluster index
-from a frozen snapshot every ``refresh_interval`` iterations and keeping a
-running average of the minibatch variance for evaluation.
+:func:`train` owns what the objectives share: the rng, the metrics rows, the
+refresh and checkpoint schedule and the final save. Every ``refresh_interval``
+iterations it saves the state (given a ``checkpoint_dir``), then refreshes
+from a frozen model snapshot and, for ``seeded`` objectives, an index seed
+drawn from the rng. An objective is a step object: its constructor builds the
+fresh model and its own state; ``refresh(iteration, snapshot, seed)`` rebuilds
+what derives from the snapshot (magnet index, triplet mining representations);
+``step(iteration, rng)`` runs one sample/forward/loss/backward/SGD iteration;
+``predict(sigma2, iteration)`` classifies the test split for the eval rows and
+the report; ``sigma2()`` is the report variance; ``state()``/``resume(state)``
+carry its own state through ``training_state.json``.
+
+Resume contract: any state the loop writes resumes byte for byte. A state
+saved at iteration t holds the model and velocities, the rng before any draw
+of iteration t and the metrics; off a refresh boundary it also holds the
+snapshot parameters and seed of the refresh in force, which resume rebuilds.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from . import losses as L
 from .config import ExperimentConfig
 from .data import Dataset, MixtureSpec, generate_mixture, load_dataset, split
-from .errors import ConfigurationError, ContractError
-from .evaluate import EvalContext, SigmaTracker, classify_batch, error_rate
+from .errors import ConfigurationError, ContractError, ParseError
+from .evaluate import EvalContext, SigmaTracker, attribute_precision, classify_batch, error_rate
 from .index import ClusterIndex, build_index
 from .model import EmbeddingModel
 from .sampler import sample_neighbourhood, sample_triplets
@@ -43,6 +57,7 @@ class TrainResult:
     ncm: Optional[L.NcmModel] = None
     train_data: Dataset = None
     test_data: Dataset = None
+    step: Optional["_Step"] = None  # the objective that classifies for build_report
 
 
 def resolve_datasets(config: ExperimentConfig) -> Tuple[Dataset, Dataset]:
@@ -65,111 +80,46 @@ def train(
 ) -> TrainResult:
     """Run the configured objective; deterministic given config and seed.
 
-    ``checkpoint_dir`` enables resumable state dumps at index-refresh
-    boundaries; ``resume_state`` (from :func:`load_training_state`) continues
-    an interrupted run with an identical seed stream.
+    ``checkpoint_dir`` enables resumable state dumps at refresh boundaries
+    and at the end; ``resume_state`` (from :func:`load_training_state`)
+    continues an interrupted run with an identical seed stream.
     """
     if train_data is None or test_data is None:
         train_data, test_data = resolve_datasets(config)
-    runner = {
-        "magnet": _train_magnet,
-        "triplet": _train_triplet,
-        "nca": _train_nca,
-        "softmax": _train_softmax,
-        "ncm": _train_ncm,
-        "ncmc": _train_ncm,
-    }[config.objective]
-    return runner(config, train_data, test_data, resume_state, checkpoint_dir)
-
-
-def _abort_non_finite(loss, iteration, batch_payload):
-    raise ContractError(
-        "non-finite loss at iteration %d; offending batch: %s"
-        % (iteration, json.dumps(batch_payload))
-    )
-
-
-def _eval_seed(config: ExperimentConfig, iteration: int) -> int:
-    # evaluation must not consume the training rng stream
-    return (config.seed * 1_000_003 + iteration) % (2**31)
-
-
-def _train_magnet(config, train_data, test_data, resume_state, checkpoint_dir):
-    cfg = L.MagnetConfig(alpha=config.alpha)
-    opt = config.optimizer()
-    sigma = SigmaTracker(decay=config.sigma_decay)
+    step = _STEPS[config.objective](config, train_data, test_data)
+    rng = np.random.default_rng(config.seed)
     metrics: List[MetricsRow] = []
-    start = 0
-
+    start, refreshed = 0, None
     if resume_state is not None:
-        model = resume_state["model"]
-        rng = np.random.default_rng()
+        if resume_state["objective"] != config.objective:
+            raise ConfigurationError(f"the saved state is for {resume_state['objective']!r}")
+        step.resume(resume_state)
         rng.bit_generator.state = resume_state["rng_state"]
-        sigma.value = resume_state["sigma2"]
-        start = resume_state["iteration"]
-        metrics = resume_state["metrics"]
-        prev_cache = resume_state["loss_cache"]
-        index = build_index(
-            model.snapshot(), train_data, k=config.k,
-            seed=int(rng.integers(2**31)), built_at_iteration=start,
-        )
-        if prev_cache is not None:
-            index.loss_cache = prev_cache
-    else:
-        model = EmbeddingModel(config.layer_dims, seed=config.seed)
-        rng = np.random.default_rng(config.seed)
-        index = build_index(
-            model.snapshot(), train_data, k=config.k,
-            seed=int(rng.integers(2**31)), built_at_iteration=0,
-        )
+        start, metrics = resume_state["iteration"], resume_state["metrics"]
+        refreshed = resume_state["refresh"]
+        if refreshed is not None:
+            step.refresh(*refreshed)
 
     for it in range(start, config.iterations):
-        # skip the rebuild at the resume iteration itself: the index was just
-        # rebuilt above with the rng draw the saved state expects
-        if it > start and it % config.refresh_interval == 0:
-            if checkpoint_dir is not None:
-                _save_training_state(
-                    checkpoint_dir, config, model, rng, sigma, it, metrics, index
-                )
-            index = build_index(
-                model.snapshot(), train_data, k=config.k,
-                seed=int(rng.integers(2**31)),
-                previous=index, built_at_iteration=it,
-            )
-        nb = sample_neighbourhood(index, train_data, config.m, config.d, rng)
-        reps, trace = model.forward(nb.inputs)
-        result = L.magnet_minibatch_loss(
-            reps, nb.example_clusters, nb.cluster_classes, cfg
-        )
-        if not np.isfinite(result.mean_loss):
-            _abort_non_finite(result.mean_loss, it, {
-                "examples": nb.example_indices.tolist(),
-                "clusters": [list(map(int, c)) for c in nb.clusters],
-            })
-        model.sgd_step(model.backward(trace, result.rep_grads), opt, it)
-        index.update_loss_cache(zip(nb.example_indices, result.example_losses))
-        sigma.update(result.batch_variance)
-
-        row = MetricsRow(it, result.mean_loss)
+        if it % config.refresh_interval == 0 or refreshed is None:
+            if it > start and checkpoint_dir is not None:
+                _save_training_state(checkpoint_dir, step, rng, it, metrics, refreshed)
+            seed = int(rng.integers(2**31)) if step.seeded else None
+            refreshed = (it, step.model.snapshot(), seed)
+            step.refresh(*refreshed)
+        loss, batch = step.step(it, rng)
+        if not np.isfinite(loss):
+            raise ContractError("non-finite loss at iteration %d; offending batch: %s" % (
+                it, json.dumps(batch, default=lambda a: a.tolist())))
+        row = MetricsRow(it, loss)
         if (it + 1) % config.eval_interval == 0:
-            row.val_error = _magnet_val_error(config, model, train_data, test_data, sigma, it)
+            row.val_error = error_rate(step.predict(None, it), test_data.labels)
         metrics.append(row)
 
-    if sigma.value is None:
-        sigma.update(index.variance)
     if checkpoint_dir is not None:
-        _save_training_state(
-            checkpoint_dir, config, model, rng, sigma, config.iterations, metrics, index
-        )
-    return TrainResult(model, index, metrics, sigma.value, train_data=train_data, test_data=test_data)
-
-
-def _magnet_val_error(config, model, train_data, test_data, sigma, iteration):
-    snapshot = model.snapshot()
-    idx = build_index(snapshot, train_data, k=config.k, seed=_eval_seed(config, iteration))
-    sigma2 = sigma.value if sigma.value else idx.variance
-    ctx = EvalContext(idx.centers, idx.cluster_classes, sigma2, l=config.eval_l)
-    return error_rate(classify_batch(ctx, snapshot.embed(test_data.inputs)), test_data.labels)
+        _save_training_state(checkpoint_dir, step, rng, config.iterations, metrics, refreshed)
+    return TrainResult(step.model, step.index, metrics, step.sigma2(), step.head, step.ncm,
+                       train_data, test_data, step)
 
 
 def _reference_sigma2(reps, labels) -> float:
@@ -183,185 +133,199 @@ def _reference_sigma2(reps, labels) -> float:
     return max(total / max(len(reps) - 1, 1), L.VARIANCE_FLOOR)
 
 
-def _train_triplet(config, train_data, test_data, resume_state, checkpoint_dir):
-    opt = config.optimizer()
-    metrics: List[MetricsRow] = []
-    start = 0
-    if resume_state is not None:
-        model = resume_state["model"]
-        rng = np.random.default_rng()
-        rng.bit_generator.state = resume_state["rng_state"]
-        start = resume_state["iteration"]
-        metrics = resume_state["metrics"]
-    else:
-        model = EmbeddingModel(config.layer_dims, seed=config.seed)
-        rng = np.random.default_rng(config.seed)
+class _Step:
+    """The part of the loop that differs between objectives (module docstring).
+    ``step`` returns the loss and the batch to name if the loss is not finite;
+    ``predict`` defaults to soft kNN over the training set."""
 
-    mined_reps = model.embed(train_data.inputs)
-    for it in range(start, config.iterations):
-        if it % config.refresh_interval == 0:
-            if it > 0 and checkpoint_dir is not None:
-                _save_training_state(checkpoint_dir, config, model, rng, None, it, metrics, None)
-            mined_reps = model.embed(train_data.inputs)
-        count = max(config.batch_size, 1)
+    seeded = False  # refresh takes an index seed drawn from the training rng
+    metric = "soft_knn"
+    index: Optional[ClusterIndex] = None
+    head: Optional[L.LinearHead] = None
+    ncm: Optional[L.NcmModel] = None
+
+    def __init__(self, config, train_data, test_data, model=None):
+        self.config, self.train_data, self.test_data = config, train_data, test_data
+        self.opt = config.optimizer()
+        self.model = model or EmbeddingModel(config.layer_dims, seed=config.seed)
+
+    def refresh(self, iteration, snapshot, seed):
+        pass
+
+    def predict(self, sigma2, iteration) -> np.ndarray:
+        reps = self.model.embed(self.train_data.inputs)
+        sigma2 = sigma2 or _reference_sigma2(reps, self.train_data.labels)
+        ctx = EvalContext(reps, self.train_data.labels, sigma2, l=self.config.eval_l)
+        return classify_batch(ctx, self.model.embed(self.test_data.inputs))
+
+    def sigma2(self) -> float:
+        return _reference_sigma2(self.model.embed(self.train_data.inputs), self.train_data.labels)
+
+    def state(self) -> dict:
+        return {}
+
+    def resume(self, state: dict):
+        self.model = state["model"]
+
+
+class _MagnetStep(_Step):
+    seeded = True
+    metric = "knc"
+
+    def __init__(self, config, train_data, test_data):
+        super().__init__(config, train_data, test_data)
+        self.loss_config = L.MagnetConfig(alpha=config.alpha)
+        self.sigma = SigmaTracker(decay=config.sigma_decay)
+        self.loss_cache = np.full(train_data.size, np.nan)
+
+    def refresh(self, iteration, snapshot, seed):
+        self.index = build_index(
+            snapshot, self.train_data, k=self.config.k, seed=seed, built_at_iteration=iteration
+        )
+        # shared, not copied: the cache carries over from index to index
+        self.index.loss_cache = self.loss_cache
+
+    def step(self, iteration, rng):
+        nb = sample_neighbourhood(self.index, self.train_data, self.config.m, self.config.d, rng)
+        reps, trace = self.model.forward(nb.inputs)
+        result = L.magnet_minibatch_loss(
+            reps, nb.example_clusters, nb.cluster_classes, self.loss_config)
+        self.model.sgd_step(self.model.backward(trace, result.rep_grads), self.opt, iteration)
+        self.index.update_loss_cache(zip(nb.example_indices, result.example_losses))
+        self.sigma.update(result.batch_variance)
+        return result.mean_loss, {"examples": nb.example_indices, "clusters": nb.clusters}
+
+    def predict(self, sigma2, iteration) -> np.ndarray:
+        idx = self._eval_index(iteration)
+        sigma2 = sigma2 or self.sigma.value or idx.variance
+        ctx = EvalContext(idx.centers, idx.cluster_classes, sigma2, l=self.config.eval_l)
+        return classify_batch(ctx, self.model.embed(self.test_data.inputs))
+
+    def _eval_index(self, iteration) -> ClusterIndex:
+        # a seed of its own: evaluation must not consume the training rng stream
+        seed = (self.config.seed * 1_000_003 + iteration) % (2**31)
+        return build_index(self.model, self.train_data, k=self.config.k, seed=seed)
+
+    def sigma2(self) -> float:
+        # before any minibatch: the variance of the index the report builds
+        return self._eval_index(-1).variance if self.sigma.value is None else self.sigma.value
+
+    def state(self) -> dict:
+        cache = [None if np.isnan(v) else float(v) for v in self.loss_cache]
+        return {"sigma2": self.sigma.value, "loss_cache": cache}
+
+    def resume(self, state):
+        super().resume(state)
+        self.sigma.value, self.loss_cache = state["sigma2"], state["loss_cache"]
+
+
+class _TripletStep(_Step):
+    def refresh(self, iteration, snapshot, seed):
+        self.mined_reps = snapshot.embed(self.train_data.inputs)
+
+    def step(self, iteration, rng):
+        count = max(self.config.batch_size, 1)
         seeds, pos, neg = sample_triplets(
-            mined_reps, train_data.labels, count, config.impostor_fraction, rng
+            self.mined_reps, self.train_data.labels, count, self.config.impostor_fraction, rng
         )
         stacked = np.concatenate([seeds, pos, neg])
-        reps, trace = model.forward(train_data.inputs[stacked])
-        r_s, r_p, r_n = reps[:count], reps[count : 2 * count], reps[2 * count :]
-        result = L.triplet_loss(r_s, r_p, r_n, config.alpha)
-        if not np.isfinite(result.mean_loss):
-            _abort_non_finite(result.mean_loss, it, {"triplets": stacked.tolist()})
+        reps, trace = self.model.forward(self.train_data.inputs[stacked])
+        result = L.triplet_loss(*np.split(reps, 3), self.config.alpha)
         rep_grads = np.concatenate(
-            [result.seed_grads, result.positive_grads, result.negative_grads]
-        )
-        model.sgd_step(model.backward(trace, rep_grads), opt, it)
-
-        row = MetricsRow(it, result.mean_loss)
-        if (it + 1) % config.eval_interval == 0:
-            row.val_error = _knn_val_error(config, model, train_data, test_data)
-        metrics.append(row)
-
-    if checkpoint_dir is not None:
-        _save_training_state(checkpoint_dir, config, model, rng, None, config.iterations, metrics, None)
-    reps = model.embed(train_data.inputs)
-    sigma2 = _reference_sigma2(reps, train_data.labels)
-    return TrainResult(model, None, metrics, sigma2, train_data=train_data, test_data=test_data)
+            [result.seed_grads, result.positive_grads, result.negative_grads])
+        self.model.sgd_step(self.model.backward(trace, rep_grads), self.opt, iteration)
+        return result.mean_loss, {"triplets": stacked}
 
 
-def _knn_val_error(config, model, train_data, test_data):
-    snapshot = model.snapshot()
-    reps = snapshot.embed(train_data.inputs)
-    ctx = EvalContext(
-        reps, train_data.labels, _reference_sigma2(reps, train_data.labels), l=config.eval_l
-    )
-    return error_rate(classify_batch(ctx, snapshot.embed(test_data.inputs)), test_data.labels)
+class _NcaStep(_Step):
+    def __init__(self, config, train_data, test_data):
+        super().__init__(config, train_data, test_data)
+        labels = train_data.labels
+        pairable = [np.flatnonzero(labels == c) for c in range(train_data.class_count)]
+        self.pairable = [m for m in pairable if len(m) >= 2]
+        if not self.pairable:
+            raise ConfigurationError("nca requires a class with at least two examples")
 
-
-def _train_nca(config, train_data, test_data, resume_state, checkpoint_dir):
-    opt = config.optimizer()
-    metrics: List[MetricsRow] = []
-    start = 0
-    if resume_state is not None:
-        model = resume_state["model"]
-        rng = np.random.default_rng()
-        rng.bit_generator.state = resume_state["rng_state"]
-        start = resume_state["iteration"]
-        metrics = resume_state["metrics"]
-    else:
-        model = EmbeddingModel(config.layer_dims, seed=config.seed)
-        rng = np.random.default_rng(config.seed)
-
-    labels = train_data.labels
-    pairable = [np.flatnonzero(labels == c) for c in range(train_data.class_count)]
-    pairable = [m for m in pairable if len(m) >= 2]
-    if not pairable:
-        raise ConfigurationError("nca requires a class with at least two examples")
-
-    for it in range(start, config.iterations):
-        if checkpoint_dir is not None and it > 0 and it % config.refresh_interval == 0:
-            _save_training_state(checkpoint_dir, config, model, rng, None, it, metrics, None)
+    def step(self, iteration, rng):
         # sample same-class pairs so every example has a peer
         batch = []
-        for _ in range(max(config.batch_size // 2, 1)):
-            members = pairable[int(rng.integers(len(pairable)))]
+        for _ in range(max(self.config.batch_size // 2, 1)):
+            members = self.pairable[int(rng.integers(len(self.pairable)))]
             batch.extend(rng.choice(members, size=2, replace=False).tolist())
         batch = np.asarray(batch)
-        reps, trace = model.forward(train_data.inputs[batch])
-        result = L.nca_loss(reps, labels[batch])
-        if not np.isfinite(result.mean_loss):
-            _abort_non_finite(result.mean_loss, it, {"examples": batch.tolist()})
-        model.sgd_step(model.backward(trace, result.rep_grads), opt, it)
-
-        row = MetricsRow(it, result.mean_loss)
-        if (it + 1) % config.eval_interval == 0:
-            row.val_error = _knn_val_error(config, model, train_data, test_data)
-        metrics.append(row)
-
-    if checkpoint_dir is not None:
-        _save_training_state(checkpoint_dir, config, model, rng, None, config.iterations, metrics, None)
-    reps = model.embed(train_data.inputs)
-    sigma2 = _reference_sigma2(reps, train_data.labels)
-    return TrainResult(model, None, metrics, sigma2, train_data=train_data, test_data=test_data)
+        reps, trace = self.model.forward(self.train_data.inputs[batch])
+        result = L.nca_loss(reps, self.train_data.labels[batch])
+        self.model.sgd_step(self.model.backward(trace, result.rep_grads), self.opt, iteration)
+        return result.mean_loss, {"examples": batch}
 
 
-def _train_softmax(config, train_data, test_data, resume_state, checkpoint_dir):
-    opt = config.optimizer()
-    metrics: List[MetricsRow] = []
-    start = 0
-    if resume_state is not None:
-        model = resume_state["model"]
-        head = resume_state["head"]
-        rng = np.random.default_rng()
-        rng.bit_generator.state = resume_state["rng_state"]
-        start = resume_state["iteration"]
-        metrics = resume_state["metrics"]
-    else:
-        model = EmbeddingModel(config.layer_dims, seed=config.seed)
-        head = L.LinearHead.create(model.output_dim, train_data.class_count, seed=config.seed + 1)
-        rng = np.random.default_rng(config.seed)
+class _SoftmaxStep(_Step):
+    metric = "argmax_logits"
 
-    n = train_data.size
-    for it in range(start, config.iterations):
-        if checkpoint_dir is not None and it > 0 and it % config.refresh_interval == 0:
-            _save_training_state(checkpoint_dir, config, model, rng, None, it, metrics, None, head=head)
-        batch = rng.choice(n, size=min(config.batch_size, n), replace=False)
-        reps, trace = model.forward(train_data.inputs[batch])
-        loss, rep_grads, grad_w, grad_b = head.loss_and_grads(reps, train_data.labels[batch])
-        if not np.isfinite(loss):
-            _abort_non_finite(loss, it, {"examples": batch.tolist()})
-        model.sgd_step(model.backward(trace, rep_grads), opt, it)
-        head.sgd_step(grad_w, grad_b, opt, it)
-
-        row = MetricsRow(it, loss)
-        if (it + 1) % config.eval_interval == 0:
-            snapshot = model.snapshot()
-            logits = snapshot.embed(test_data.inputs) @ head.w.T + head.b
-            row.val_error = error_rate(logits.argmax(axis=1), test_data.labels)
-        metrics.append(row)
-
-    if checkpoint_dir is not None:
-        _save_training_state(
-            checkpoint_dir, config, model, rng, None, config.iterations, metrics, None, head=head
+    def __init__(self, config, train_data, test_data):
+        super().__init__(config, train_data, test_data)
+        self.head = L.LinearHead.create(
+            self.model.output_dim, train_data.class_count, seed=config.seed + 1
         )
-    reps = model.embed(train_data.inputs)
-    sigma2 = _reference_sigma2(reps, train_data.labels)
-    return TrainResult(model, None, metrics, sigma2, head=head, train_data=train_data, test_data=test_data)
+
+    def step(self, iteration, rng):
+        n = self.train_data.size
+        batch = rng.choice(n, size=min(self.config.batch_size, n), replace=False)
+        reps, trace = self.model.forward(self.train_data.inputs[batch])
+        loss, rep_grads, grad_w, grad_b = self.head.loss_and_grads(
+            reps, self.train_data.labels[batch])
+        self.model.sgd_step(self.model.backward(trace, rep_grads), self.opt, iteration)
+        self.head.sgd_step(grad_w, grad_b, self.opt, iteration)
+        return loss, {"examples": batch}
+
+    def predict(self, sigma2, iteration) -> np.ndarray:
+        return self.head.logits(self.model.embed(self.test_data.inputs)).argmax(axis=1)
+
+    def state(self) -> dict:
+        return {"head": {k: v.tolist() for k, v in vars(self.head).items()}}
+
+    def resume(self, state):
+        super().resume(state)
+        self.head = state["head"]
 
 
-def _train_ncm(config, train_data, test_data, resume_state, checkpoint_dir):
-    opt = config.optimizer()
-    out_dim = config.layer_dims[-1]
-    if config.objective == "ncmc":
-        ncm = L.NcmModel.fit_centroids(
-            train_data.inputs, train_data.labels, out_dim, k=config.ncm_k, seed=config.seed
-        )
-    else:
-        ncm = L.NcmModel.fit_means(train_data.inputs, train_data.labels, out_dim, seed=config.seed)
+class _NcmStep(_Step):
+    """Full-batch NCM/NCMC. The learned linear map is the single weight of a
+    bias-free one-layer embedding model, which ``ncm.w`` shares."""
 
-    velocity = np.zeros_like(ncm.w)
-    metrics: List[MetricsRow] = []
-    for it in range(config.iterations):
-        loss, grad_w = L.ncm_loss(ncm, train_data.inputs, train_data.labels)
-        if not np.isfinite(loss):
-            _abort_non_finite(loss, it, {"full_batch": True})
-        rate = opt.learning_rate * opt.anneal_factor ** (it // opt.epoch_length)
-        velocity = opt.momentum * velocity - rate * grad_w
-        ncm.w = ncm.w + velocity
+    metric = "nearest_class_mean"
 
-        row = MetricsRow(it, loss)
-        if (it + 1) % config.eval_interval == 0:
-            row.val_error = error_rate(L.ncm_classify(ncm, test_data.inputs), test_data.labels)
-        metrics.append(row)
+    def __init__(self, config, train_data, test_data):
+        x, y, out_dim = train_data.inputs, train_data.labels, config.layer_dims[-1]
+        if config.objective == "ncmc":
+            self.ncm = L.NcmModel.fit_centroids(x, y, out_dim, k=config.ncm_k, seed=config.seed)
+        else:
+            self.ncm = L.NcmModel.fit_means(x, y, out_dim, seed=config.seed)
+        model = EmbeddingModel([train_data.dim, out_dim], seed=0)
+        model.weights[0] = self.ncm.w
+        super().__init__(config, train_data, test_data, model)
 
-    # expose the learned linear map as a bias-free single-layer embedding model
-    model = EmbeddingModel([train_data.dim, out_dim], seed=0)
-    model.weights[0] = ncm.w.copy()
-    model.biases[0][:] = 0.0
-    reps = model.embed(train_data.inputs)
-    sigma2 = _reference_sigma2(reps, train_data.labels)
-    return TrainResult(model, None, metrics, sigma2, ncm=ncm, train_data=train_data, test_data=test_data)
+    def step(self, iteration, rng):
+        loss, grad_w = L.ncm_loss(self.ncm, self.train_data.inputs, self.train_data.labels)
+        self.model.sgd_step(([grad_w], [np.zeros_like(self.model.biases[0])]), self.opt, iteration)
+        return loss, {"full_batch": True}
+
+    def predict(self, sigma2, iteration) -> np.ndarray:
+        return L.ncm_classify(self.ncm, self.test_data.inputs)
+
+    def resume(self, state):
+        super().resume(state)
+        self.ncm.w = self.model.weights[0]
+
+
+_STEPS = {
+    "magnet": _MagnetStep,
+    "triplet": _TripletStep,
+    "nca": _NcaStep,
+    "softmax": _SoftmaxStep,
+    "ncm": _NcmStep,
+    "ncmc": _NcmStep,
+}
 
 
 # -- reports ----------------------------------------------------------------
@@ -369,41 +333,20 @@ def _train_ncm(config, train_data, test_data, resume_state, checkpoint_dir):
 def build_report(config: ExperimentConfig, result: TrainResult) -> dict:
     """Evaluation report: error rate, confusion counts, optional extras."""
     train_data, test_data = result.train_data, result.test_data
-    model = result.model
-    objective = config.objective
-    if objective == "magnet":
-        idx = build_index(model.snapshot(), train_data, k=config.k, seed=_eval_seed(config, -1))
-        ctx = EvalContext(idx.centers, idx.cluster_classes, result.sigma2, l=config.eval_l)
-        preds = classify_batch(ctx, model.embed(test_data.inputs))
-        metric = "knc"
-    elif objective in ("triplet", "nca"):
-        reps = model.embed(train_data.inputs)
-        ctx = EvalContext(reps, train_data.labels, result.sigma2, l=config.eval_l)
-        preds = classify_batch(ctx, model.embed(test_data.inputs))
-        metric = "soft_knn"
-    elif objective == "softmax":
-        logits = model.embed(test_data.inputs) @ result.head.w.T + result.head.b
-        preds = logits.argmax(axis=1)
-        metric = "argmax_logits"
-    else:  # ncm / ncmc
-        preds = L.ncm_classify(result.ncm, test_data.inputs)
-        metric = "nearest_class_mean"
-
+    preds = result.step.predict(result.sigma2, -1)
     c = max(train_data.class_count, test_data.class_count)
     confusion = np.zeros((c, c), dtype=int)
     for t, p in zip(test_data.labels, preds):
         confusion[int(t), int(p)] += 1
     report = {
-        "objective": objective,
-        "metric": metric,
+        "objective": config.objective,
+        "metric": result.step.metric,
         "error_rate": error_rate(preds, test_data.labels),
         "confusion": confusion.tolist(),
         "sigma2": result.sigma2,
     }
     if test_data.attributes is not None:
-        from .evaluate import attribute_precision
-
-        reps = model.embed(test_data.inputs)
+        reps = result.model.embed(test_data.inputs)
         sizes = [s for s in (5, 10, 20) if s < test_data.size]
         report["attribute_precision"] = {
             str(k): v for k, v in attribute_precision(reps, test_data.attributes, sizes).items()
@@ -463,49 +406,71 @@ def bench(
 
 # -- resumable training state ------------------------------------------------
 
-def _save_training_state(outdir, config, model, rng, sigma, iteration, metrics, index, head=None):
+def _save_training_state(outdir, step, rng, iteration, metrics, refreshed):
+    """Write ``checkpoint.bin`` and ``training_state.json``, each through a
+    temporary file and ``os.replace``. The state records the checkpoint's
+    SHA-256, so a kill between the two writes leaves a pair that fails to load."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    model.save(outdir / "checkpoint.bin")
+    model = step.model
+    checkpoint = model.to_bytes()
     state = {
+        "objective": step.config.objective,
         "iteration": iteration,
         "rng_state": rng.bit_generator.state,
-        "sigma2": None if sigma is None else sigma.value,
-        "loss_cache": None if index is None else [
-            None if np.isnan(v) else float(v) for v in index.loss_cache
-        ],
         "metrics": [[r.iteration, r.train_loss, r.val_error] for r in metrics],
         "w_velocity": [v.tolist() for v in model.w_velocity],
         "b_velocity": [v.tolist() for v in model.b_velocity],
-        "head": None if head is None else {
-            "w": head.w.tolist(), "b": head.b.tolist(),
-            "w_velocity": head.w_velocity.tolist(), "b_velocity": head.b_velocity.tolist(),
-        },
+        # on a refresh boundary, resume refreshes afresh
+        "refresh": None if refreshed is None or iteration % step.config.refresh_interval == 0
+        else {"iteration": refreshed[0], "params": refreshed[1].get_flat_params().tolist(),
+              "seed": refreshed[2]},
+        "sigma2": None, "loss_cache": None, "head": None,
+        **step.state(),
+        "checkpoint_sha256": hashlib.sha256(checkpoint).hexdigest(),
     }
-    (outdir / "training_state.json").write_text(json.dumps(state))
+    for name, data in (("checkpoint.bin", checkpoint),
+                       ("training_state.json", json.dumps(state).encode())):
+        tmp = outdir / (name + ".tmp")
+        tmp.write_bytes(data)
+        os.replace(tmp, outdir / name)
 
 
 def load_training_state(outdir) -> dict:
+    """Read a state written by :func:`_save_training_state`. A malformed file,
+    a missing key, or a checkpoint other than the one the state was saved
+    with, is a ``ParseError``."""
     outdir = Path(outdir)
-    model = EmbeddingModel.load(outdir / "checkpoint.bin")
-    raw = json.loads((outdir / "training_state.json").read_text())
-    model.w_velocity = [np.asarray(v) for v in raw["w_velocity"]]
-    model.b_velocity = [np.asarray(v) for v in raw["b_velocity"]]
-    state = {
-        "model": model,
-        "iteration": raw["iteration"],
-        "rng_state": raw["rng_state"],
-        "sigma2": raw["sigma2"],
-        "loss_cache": None if raw["loss_cache"] is None else np.asarray(
-            [np.nan if v is None else v for v in raw["loss_cache"]]
-        ),
-        "metrics": [MetricsRow(it, loss, err) for it, loss, err in raw["metrics"]],
-    }
-    if raw.get("head") is not None:
-        head = L.LinearHead(
-            w=np.asarray(raw["head"]["w"]), b=np.asarray(raw["head"]["b"]),
-            w_velocity=np.asarray(raw["head"]["w_velocity"]),
-            b_velocity=np.asarray(raw["head"]["b_velocity"]),
-        )
-        state["head"] = head
-    return state
+    try:
+        model = EmbeddingModel.load(outdir / "checkpoint.bin")
+        raw = json.loads((outdir / "training_state.json").read_text())
+        digest = hashlib.sha256((outdir / "checkpoint.bin").read_bytes()).hexdigest()
+        if raw["checkpoint_sha256"] != digest:
+            raise ValueError("checkpoint.bin is not the checkpoint the state was saved with")
+        w_vel, b_vel = ([np.asarray(v, dtype=np.float64) for v in raw[key]]
+                        for key in ("w_velocity", "b_velocity"))
+        if [v.shape for v in w_vel + b_vel] != [p.shape for p in model.weights + model.biases]:
+            raise ValueError("velocities do not match the checkpoint")
+        model.w_velocity, model.b_velocity = w_vel, b_vel
+        np.random.default_rng().bit_generator.state = raw["rng_state"]  # validates it
+        refresh, head, cache = raw["refresh"], raw["head"], raw["loss_cache"]
+        if refresh is not None:
+            snapshot = model.snapshot()
+            snapshot.set_flat_params(np.asarray(refresh["params"], dtype=np.float64))
+            refresh = (int(refresh["iteration"]), snapshot, refresh["seed"])
+        return {
+            "objective": raw["objective"],
+            "model": model,
+            "iteration": int(raw["iteration"]),
+            "rng_state": raw["rng_state"],
+            "metrics": [MetricsRow(int(it), float(loss), None if err is None else float(err))
+                        for it, loss, err in raw["metrics"]],
+            "refresh": refresh,
+            "sigma2": None if raw["sigma2"] is None else float(raw["sigma2"]),
+            "loss_cache": None if cache is None else np.asarray(
+                [np.nan if v is None else v for v in cache], dtype=np.float64),
+            "head": None if head is None else L.LinearHead(
+                **{k: np.asarray(v, dtype=np.float64) for k, v in head.items()}),
+        }
+    except (KeyError, TypeError, ValueError, ContractError) as exc:
+        raise ParseError(f"{outdir}: bad training state: {exc}") from exc

@@ -138,11 +138,41 @@ class TestTrain:
         assert (out_res / "metrics.csv").read_bytes() == (out_full / "metrics.csv").read_bytes()
         assert (out_res / "checkpoint.bin").read_bytes() == (out_full / "checkpoint.bin").read_bytes()
 
+    def test_ncm_resume_matches_uninterrupted(self, tmp_path):
+        # ncm checkpoints and resumes like the other objectives; halting at
+        # 50 stops inside a refresh window
+        ncm = dict(objective="ncm", layer_dims="2,8")
+        out_full, out_half, out_res = tmp_path / "full", tmp_path / "half", tmp_path / "res"
+        full = write_config(tmp_path, name="ncm.cfg", **ncm)
+        half = write_config(tmp_path, name="half.cfg", iterations=50, **ncm)
+        assert main(["train", str(full), str(out_full)]) == 0
+        assert main(["train", str(half), str(out_half)]) == 0
+        assert main(["train", str(full), str(out_res), "--resume", str(out_half)]) == 0
+        assert (out_res / "metrics.csv").read_bytes() == (out_full / "metrics.csv").read_bytes()
+        assert (out_res / "checkpoint.bin").read_bytes() == (out_full / "checkpoint.bin").read_bytes()
+
+    @pytest.mark.parametrize("name", ["training_state.json", "checkpoint.bin"])
+    def test_resume_from_truncated_state_errors(self, tmp_path, capsys, name):
+        config = write_config(tmp_path, iterations=30)
+        outdir = tmp_path / "out"
+        assert main(["train", str(config), str(outdir)]) == 0
+        path = outdir / name
+        path.write_bytes(path.read_bytes()[:40])
+        capsys.readouterr()
+        assert main(["train", str(config), str(tmp_path / "res"), "--resume", str(outdir)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_bad_config_errors(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("objective = gravity\n")
         assert main(["train", str(bad), str(tmp_path / "out")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("objective", ["magnet", "ncm"])
+    def test_zero_refresh_interval_errors(self, tmp_path, capsys, objective):
+        config = write_config(tmp_path, objective=objective, refresh_interval=0)
+        assert main(["train", str(config), str(tmp_path / "out")]) == 1
+        assert "refresh_interval" in capsys.readouterr().err
 
     def test_triplet_objective_runs(self, tmp_path):
         config = write_config(
@@ -172,6 +202,33 @@ class TestEval:
         assert report["metric"] == "knc"
         assert report["error_rate"] < 0.2
         assert report["sigma2"] > 0
+
+
+    @pytest.mark.parametrize("cut", [10, 20, 100])
+    def test_truncated_checkpoint_errors(self, tmp_path, capsys, cut):
+        config = write_config(tmp_path, iterations=20)
+        outdir = tmp_path / "out"
+        main(["train", str(config), str(outdir)])
+        ckpt = outdir / "checkpoint.bin"
+        ckpt.write_bytes(ckpt.read_bytes()[:cut])
+        data = tmp_path / "data.csv"
+        main(["gen-data", str(write_spec(tmp_path)), str(data)])
+        capsys.readouterr()
+        assert main(["eval", str(ckpt), str(data), str(tmp_path / "eval")]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("objective", ["magnet", "triplet"])
+    def test_zero_sigma2_rejected(self, tmp_path, capsys, objective):
+        config = write_config(tmp_path, iterations=20)
+        outdir = tmp_path / "out"
+        main(["train", str(config), str(outdir)])
+        data = tmp_path / "data.csv"
+        main(["gen-data", str(write_spec(tmp_path)), str(data)])
+        capsys.readouterr()
+        rc = main(["eval", str(outdir / "checkpoint.bin"), str(data), str(tmp_path / "eval"),
+                   "--objective", objective, "--sigma2", "0"])
+        assert rc == 1
+        assert "sigma2 must be positive" in capsys.readouterr().err
 
 
 class TestBench:

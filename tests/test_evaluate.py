@@ -73,6 +73,13 @@ class TestKnc:
         cls, _ = soft_knn_classify(ctx, np.array([3.2]))
         assert cls == 1
 
+    def test_nan_scores_rejected(self):
+        # a NaN reference among the L nearest makes every score NaN, which
+        # argmax would read as class 0
+        ctx = EvalContext(np.array([[0.0], [1.0], [np.nan], [3.0]]), [0, 1, 1, 1], 1.0, l=4)
+        with pytest.raises(ContractError, match="not finite"):
+            classify_batch(ctx, np.array([[0.5], [2.5]]))
+
     def test_empty_context_rejected(self):
         with pytest.raises(ContractError):
             EvalContext(np.zeros((0, 2)), np.zeros(0, dtype=int), sigma2=1.0)
@@ -150,6 +157,13 @@ class TestAttributePrecision:
         for bad in (0, 4, 7):
             with pytest.raises(ConfigurationError):
                 attribute_precision(reps, attrs, sizes=[bad])
+
+    def test_values_bad_sizes_rejected(self):
+        reps = np.arange(8.0)[:, None]
+        attrs = np.ones((8, 1), dtype=np.int8)
+        for bad in (0, -1, 8, 9):
+            with pytest.raises(ConfigurationError):
+                attribute_precision_values(reps, attrs, size=bad)
 
     def test_missing_attributes_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -5,6 +5,8 @@ triplet sampler and the soft-kNN/kNC evaluation was vectorised; a speed-up
 that moves any rng draw or any floating-point sum changes them. The triplet
 run mines the nearest 20% of impostors and evaluates soft kNN with L smaller
 than the reference set, so both vectorised selections are on the path.
+The softmax, ncm and ncmc hashes were recorded before the six training loops
+were folded into one.
 """
 
 import hashlib
@@ -18,6 +20,9 @@ PINNED_SHA256 = {
     "triplet": "ed8a5adac5c71808b769890912492493422afe6a5ef68459b94ea8c3477e6355",
     "nca": "3a5185c1f92ab097819bc8e559811c89f1352182a47496e406e46093a3f9f756",
     "magnet": "a66d9d5aceb7fc2ffdfae87b7b8e5463f8c605475fc3097b0f7ba1d8ab508463",
+    "softmax": "5951e711594f24251c53c821c6f6d7802c0be1f9fe687b80ae864611ac52b61a",
+    "ncm": "7868df8aa78a3d961413b3dbed2088405221ce7f64984afe9543ccb016ac2f18",
+    "ncmc": "2e5e1444055568138481c2bdcbbbe0c2db7adf407723debf7f98cf4bff588c7a",
 }
 
 COMMON = dict(
@@ -29,6 +34,9 @@ CONFIGS = {
                     impostor_fraction=0.2, batch_size=16),
     "nca": dict(objective="nca", learning_rate=0.002, batch_size=16),
     "magnet": dict(objective="magnet", learning_rate=0.01, k=2, m=4, d=4),
+    "softmax": dict(objective="softmax", learning_rate=0.01, batch_size=16),
+    "ncm": dict(objective="ncm", learning_rate=0.01, layer_dims=[4, 8]),
+    "ncmc": dict(objective="ncmc", learning_rate=0.01, layer_dims=[4, 8], ncm_k=2),
 }
 
 
@@ -45,7 +53,7 @@ def pin_data():
 
 @pytest.mark.parametrize("objective", sorted(CONFIGS))
 def test_metrics_csv_bytes_pinned(objective, tmp_path):
-    config = ExperimentConfig(**COMMON, **CONFIGS[objective])
+    config = ExperimentConfig(**{**COMMON, **CONFIGS[objective]})
     train_data, test_data = pin_data()
     result = train(config, train_data, test_data)
     path = tmp_path / "metrics.csv"

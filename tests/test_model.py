@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magnetdml import EmbeddingModel, OptimizerConfig, grad_check
-from magnetdml.errors import ConfigurationError, ContractError
+from magnetdml.errors import ConfigurationError, ContractError, ParseError
 
 
 def quadratic_probe(inputs):
@@ -159,3 +161,49 @@ class TestCheckpoint:
             return m.get_flat_params()
 
         assert (run() == run()).all()
+
+    @pytest.mark.parametrize("cut", [3, 10, 20, 60, -1])
+    def test_truncated_rejected(self, tmp_path, cut):
+        p = tmp_path / "checkpoint.bin"
+        p.write_bytes(EmbeddingModel([3, 5, 2], seed=9).to_bytes()[:cut])
+        with pytest.raises(ParseError):
+            EmbeddingModel.load(p)
+
+    def test_huge_dims_rejected_before_allocating(self, tmp_path):
+        raw = bytearray(EmbeddingModel([3, 5, 2], seed=9).to_bytes())
+        raw[14:22] = (2**40).to_bytes(8, "little")  # the first layer dim
+        p = tmp_path / "checkpoint.bin"
+        p.write_bytes(bytes(raw))
+        with pytest.raises(ParseError, match="file size"):
+            EmbeddingModel.load(p)
+
+    def test_non_finite_weights_rejected(self, tmp_path):
+        m = EmbeddingModel([3, 5, 2], seed=9)
+        m.biases[1][0] = np.nan
+        p = tmp_path / "checkpoint.bin"
+        m.save(p)
+        with pytest.raises(ParseError, match="checkpoint.bin.*non-finite"):
+            EmbeddingModel.load(p)
+
+
+_CHECKPOINT = EmbeddingModel([3, 4, 2], seed=1).to_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cut=st.integers(0, len(_CHECKPOINT)),
+    flips=st.lists(st.tuples(st.integers(0, len(_CHECKPOINT) - 1), st.integers(1, 255)),
+                   max_size=4),
+)
+def test_load_fuzz_loads_or_raises_typed_error(tmp_path_factory, cut, flips):
+    raw = bytearray(_CHECKPOINT)
+    for pos, mask in flips:
+        raw[pos] ^= mask
+    p = tmp_path_factory.mktemp("fuzz") / "checkpoint.bin"
+    p.write_bytes(bytes(raw[:cut]))
+    try:
+        model = EmbeddingModel.load(p)
+    except (ParseError, ConfigurationError):
+        return
+    assert all(np.isfinite(a).all() for a in model.weights + model.biases)
+    assert model.to_bytes() == bytes(raw[:cut])
