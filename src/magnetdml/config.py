@@ -4,10 +4,9 @@ Unknown keys are rejected. The seed can be overridden with the
 ``MAGNETDML_SEED`` environment variable.
 """
 
-from __future__ import annotations
-
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import List, Optional
 
@@ -17,6 +16,8 @@ from .model import OptimizerConfig
 SEED_ENV_VAR = "MAGNETDML_SEED"
 
 OBJECTIVES = ("magnet", "triplet", "nca", "ncm", "ncmc", "softmax")
+
+MAX_BATCH = 48  # cap on m*d, the examples in one magnet minibatch
 
 
 @dataclass
@@ -40,7 +41,6 @@ class ExperimentConfig:
     m: int = 4
     d: int = 4
     refresh_interval: int = 100
-    max_batch: int = 48
 
     impostor_fraction: float = 1.0
     batch_size: int = 16
@@ -56,13 +56,18 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
             raise ConfigurationError(f"unknown objective {self.objective!r}")
-        if self.objective == "magnet" and self.m * self.d > self.max_batch:
+        for f in fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ConfigurationError(f"{f.name} must be finite")
+        if self.objective == "magnet" and self.m * self.d > MAX_BATCH:
             raise ConfigurationError(
-                f"m*d = {self.m * self.d} exceeds the batch cap {self.max_batch}"
+                f"m*d = {self.m * self.d} exceeds the batch cap {MAX_BATCH}"
             )
         if self.iterations < 0 or self.eval_interval < 1 or self.refresh_interval < 1:
             raise ConfigurationError(
                 "iterations must be >= 0, eval_interval and refresh_interval >= 1")
+        if self.seed < 0 or self.batch_size < 1:
+            raise ConfigurationError("seed must be >= 0 and batch_size >= 1")
 
     def optimizer(self) -> OptimizerConfig:
         return OptimizerConfig(
@@ -73,38 +78,35 @@ class ExperimentConfig:
         )
 
 
-_INT_KEYS = {
-    "epoch_length", "k", "m", "d", "refresh_interval", "max_batch", "batch_size",
-    "ncm_k", "eval_l", "iterations", "eval_interval", "seed",
+def _int_list(raw: str) -> List[int]:
+    return [int(v) for v in raw.split(",") if v.strip()]
+
+
+# a config key's parser, by the type of the ExperimentConfig field it sets
+_PARSERS = {
+    f.name: {int: int, float: float, str: str, Optional[str]: str, List[int]: _int_list}[f.type]
+    for f in fields(ExperimentConfig)
 }
-_FLOAT_KEYS = {
-    "test_fraction", "learning_rate", "momentum", "anneal_factor", "alpha",
-    "impostor_fraction", "sigma_decay",
-}
-_STR_KEYS = {"objective", "dataset", "dataset_attributes", "mixture_spec"}
 
 
 def parse_config(path) -> ExperimentConfig:
     """Parse a flat ``key = value`` config file ('#' starts a comment)."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ParseError(f"{path}: line {lineno}: expected 'key = value'")
         key, raw = (part.strip() for part in line.split("=", 1))
+        if key not in _PARSERS:
+            raise ParseError(f"{path}: line {lineno}: unknown key {key!r}")
         try:
-            if key in _INT_KEYS:
-                values[key] = int(raw)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(raw)
-            elif key in _STR_KEYS:
-                values[key] = raw
-            elif key == "layer_dims":
-                values[key] = [int(v) for v in raw.split(",") if v.strip()]
-            else:
-                raise ParseError(f"{path}: line {lineno}: unknown key {key!r}")
+            values[key] = _PARSERS[key](raw)
         except ValueError as exc:
             raise ParseError(f"{path}: line {lineno}: {exc}") from exc
 

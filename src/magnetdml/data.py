@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -108,20 +109,27 @@ class MixtureSpec:
 
     @classmethod
     def from_json(cls, path) -> "MixtureSpec":
-        raw = json.loads(Path(path).read_text())
-        classes = []
-        for modes in raw["classes"]:
-            classes.append(
+        """Read a spec; a file that is not UTF-8 JSON of this shape, or a
+        value of the wrong type, is a ``ParseError`` naming the file."""
+        try:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+            classes = [
                 [
                     Mode(
-                        center=m["center"],
-                        deviation=m["deviation"],
-                        count=m["count"],
-                        attributes=m.get("attributes"),
+                        center=[float(v) for v in m["center"]],
+                        deviation=float(m["deviation"]),
+                        count=operator.index(m["count"]),
+                        attributes=None if m.get("attributes") is None
+                        else [operator.index(a) for a in m["attributes"]],
                     )
                     for m in modes
                 ]
-            )
+                for modes in raw["classes"]
+            ]
+        except KeyError as exc:
+            raise ParseError(f"{path}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: bad mixture spec: {exc}") from exc
         return cls(classes=classes)
 
 
@@ -157,31 +165,28 @@ def load_dataset(path, attributes_path=None) -> Dataset:
     optional companion CSV with header ``a0..a{A-1}`` supplies row-aligned
     binary attributes.
     """
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+    rows_in = _csv_rows(path)
+    _, header = next(rows_in, (1, None))
+    if header is None:
+        raise ParseError(f"{path}: empty file")
+    if not header or header[0] != "label":
+        raise ParseError(f"{path}: line 1: first column must be 'label'")
+    dim = len(header) - 1
+    raw_labels, rows = [], []
+    for lineno, row in rows_in:
+        if not row:
+            continue
+        if len(row) != dim + 1:
+            raise ParseError(
+                f"{path}: line {lineno}: expected {dim + 1} columns, got {len(row)}"
+            )
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file")
-        if not header or header[0] != "label":
-            raise ParseError(f"{path}: line 1: first column must be 'label'")
-        dim = len(header) - 1
-        raw_labels, rows = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != dim + 1:
-                raise ParseError(
-                    f"{path}: line {lineno}: expected {dim + 1} columns, got {len(row)}"
-                )
-            try:
-                raw_labels.append(int(row[0]))
-                rows.append([float(v) for v in row[1:]])
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-            if not all(map(math.isfinite, rows[-1])):
-                raise ParseError(f"{path}: line {lineno}: non-finite feature value")
+            raw_labels.append(int(row[0]))
+            rows.append([float(v) for v in row[1:]])
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+        if not all(map(math.isfinite, rows[-1])):
+            raise ParseError(f"{path}: line {lineno}: non-finite feature value")
     if not rows:
         raise ParseError(f"{path}: no data rows")
 
@@ -199,27 +204,34 @@ def load_dataset(path, attributes_path=None) -> Dataset:
 
 
 def _load_attributes(path, expected_rows: int) -> np.ndarray:
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+    rows_in = _csv_rows(path)
+    _, header = next(rows_in, (1, None))
+    if header is None:
+        raise ParseError(f"{path}: empty file")
+    width = len(header)
+    rows = []
+    for lineno, row in rows_in:
+        if not row:
+            continue
+        if len(row) != width:
+            raise ParseError(f"{path}: line {lineno}: expected {width} columns")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file")
-        width = len(header)
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                raise ParseError(f"{path}: line {lineno}: expected {width} columns")
-            try:
-                rows.append([int(v) for v in row])
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+            rows.append([int(v) for v in row])
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc}") from exc
     if len(rows) != expected_rows:
         raise ParseError(f"{path}: {len(rows)} attribute rows for {expected_rows} examples")
     return np.asarray(rows, dtype=np.int8)
+
+
+def _csv_rows(path):
+    """(line number, row) for each row of a CSV file. A file that is not
+    UTF-8 text, or that the csv module cannot split, is a ``ParseError``."""
+    try:
+        with Path(path).open(newline="", encoding="utf-8") as fh:
+            yield from enumerate(csv.reader(fh), start=1)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def save_dataset(dataset: Dataset, path, attributes_path=None):

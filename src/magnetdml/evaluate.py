@@ -66,10 +66,19 @@ def _retrieve_scores(ctx: EvalContext, reps: np.ndarray) -> np.ndarray:
     return scores
 
 
+def _finite_scores(ctx: EvalContext, reps: np.ndarray) -> np.ndarray:
+    """:func:`_retrieve_scores`, refusing scores that are not finite: the
+    argmax of a NaN row would name a class."""
+    scores = _retrieve_scores(ctx, reps)
+    if not np.isfinite(scores).all():
+        raise ContractError("classification scores are not finite")
+    return scores
+
+
 def knc_classify(ctx: EvalContext, representation: np.ndarray):
     """Softmax similarity to the L nearest cluster centers; returns the argmax
     class (ties toward the lower index) and normalized per-class scores."""
-    scores = _retrieve_scores(ctx, np.atleast_2d(representation))[0]
+    scores = _finite_scores(ctx, np.atleast_2d(representation))[0]
     return int(scores.argmax()), scores
 
 
@@ -79,10 +88,7 @@ def soft_knn_classify(ctx: EvalContext, representation: np.ndarray):
 
 
 def classify_batch(ctx: EvalContext, representations: np.ndarray) -> np.ndarray:
-    scores = _retrieve_scores(ctx, representations)
-    if not np.isfinite(scores).all():
-        raise ContractError("classification scores are not finite")
-    return scores.argmax(axis=1)
+    return _finite_scores(ctx, representations).argmax(axis=1)
 
 
 def error_rate(predictions, labels) -> float:
@@ -176,7 +182,7 @@ def hierarchy_recovery_eval(
     else:
         raise ConfigurationError(f"unknown method {method!r}")
 
-    scores = _retrieve_scores(ctx, test_representations)
+    scores = _finite_scores(ctx, test_representations)
     top1 = scores.argmax(axis=1)
     err1 = error_rate(top1, test_fine)
     if n_classes < 5:

@@ -52,14 +52,6 @@ def _softmax_probe(inputs, labels, head):
     return probe
 
 
-def _quadratic_probe(inputs):
-    def probe(model):
-        reps, trace = model.forward(inputs)
-        grads = model.backward(trace, 2.0 * reps)
-        return float((reps * reps).sum()), model.flatten_grads(grads), trace.hidden_preacts()
-    return probe
-
-
 def check_all_objectives(
     layer_dims=(10, 16, 8),
     tolerance: float = 1e-4,

@@ -8,10 +8,8 @@ sampling, and the global variance of representations about their centers.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -19,10 +17,12 @@ from .data import Dataset
 from .errors import ConfigurationError
 
 VARIANCE_FLOOR = 1e-8
+KMEANS_MAX_ITERS = 100
 
 
-def kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 100, history=None):
-    """K-means++ seeding followed by Lloyd iterations to an assignment fixpoint.
+def kmeans(points: np.ndarray, k: int, seed: int, history=None):
+    """K-means++ seeding followed by up to ``KMEANS_MAX_ITERS`` Lloyd
+    iterations, stopping early at an assignment fixpoint.
 
     Returns (centers (k, d), assignments (n,), objective). Empty clusters are
     reseeded to the point farthest from its assigned center, which keeps the
@@ -33,13 +33,11 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iters: int = 100, history=
     n = len(points)
     if not 1 <= k <= n:
         raise ConfigurationError(f"k={k} must lie in [1, {n}]")
-    if max_iters < 1:
-        raise ConfigurationError("max_iters must be >= 1")
     rng = np.random.default_rng(seed)
     centers = _kmeanspp_init(points, k, rng)
 
     assignments = None
-    for _ in range(max_iters):
+    for _ in range(KMEANS_MAX_ITERS):
         d2 = sqdist(points, centers)
         new_assignments = d2.argmin(axis=1)
         if history is not None:
@@ -100,12 +98,10 @@ class ClusterIndex:
     cluster_classes: np.ndarray
     example_cluster: np.ndarray
     variance: float
-    built_at_iteration: int = 0
-    loss_cache: np.ndarray = field(default=None)
+    loss_cache: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.loss_cache is None:
-            self.loss_cache = np.full(len(self.example_cluster), np.nan)
+        self.loss_cache = np.full(len(self.example_cluster), np.nan)
         self._members = [
             np.flatnonzero(self.example_cluster == j) for j in range(len(self.clusters))
         ]
@@ -155,34 +151,12 @@ class ClusterIndex:
         chosen = order[:count]
         return [self.clusters[j] for j in chosen], len(chosen) < count
 
-    def dump(self, path):
-        """Diagnostic JSON dump of centers, assignments and variance."""
-        by_class: Dict[str, list] = {}
-        for (c, k), center in zip(self.clusters, self.centers):
-            by_class.setdefault(str(c), []).append(center.tolist())
-        payload = {
-            "centers": by_class,
-            "assignments": [list(map(int, self.clusters[j])) for j in self.example_cluster],
-            "variance": self.variance,
-            "built_at_iteration": self.built_at_iteration,
-        }
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
-
-def build_index(
-    model,
-    dataset: Dataset,
-    k: int = 1,
-    seed: int = 0,
-    per_class_k: Optional[Dict[int, int]] = None,
-    previous: Optional[ClusterIndex] = None,
-    built_at_iteration: int = 0,
-    max_iters: int = 100,
-) -> ClusterIndex:
+def build_index(model, dataset: Dataset, k: int = 1, seed: int = 0) -> ClusterIndex:
     """Forward all inputs against a frozen snapshot, then K-means per class.
 
-    The loss cache is carried over from ``previous`` by example identity.
-    Variance uses the (N-1) divisor and is floored at ``VARIANCE_FLOOR``.
+    The loss cache starts empty (all NaN). Variance uses the (N-1) divisor
+    and is floored at ``VARIANCE_FLOOR``.
     """
     reps = model.embed(dataset.inputs)
     clusters: List[Tuple[int, int]] = []
@@ -190,14 +164,13 @@ def build_index(
     example_cluster = np.empty(dataset.size, dtype=np.int64)
     for c in range(dataset.class_count):
         members = np.flatnonzero(dataset.labels == c)
-        k_c = per_class_k.get(c, k) if per_class_k else k
-        if k_c > len(members):
+        if k > len(members):
             raise ConfigurationError(
-                f"class {c} has {len(members)} examples, fewer than K={k_c}"
+                f"class {c} has {len(members)} examples, fewer than K={k}"
             )
-        c_centers, assign, _ = kmeans(reps[members], k_c, seed=seed + c, max_iters=max_iters)
+        c_centers, assign, _ = kmeans(reps[members], k, seed=seed + c)
         base = len(clusters)
-        clusters.extend((c, j) for j in range(k_c))
+        clusters.extend((c, j) for j in range(k))
         centers.append(c_centers)
         example_cluster[members] = base + assign
 
@@ -206,13 +179,10 @@ def build_index(
     n = dataset.size
     variance = float(np.einsum("ij,ij->i", residual, residual).sum() / max(n - 1, 1))
     variance = max(variance, VARIANCE_FLOOR)
-    cache = previous.loss_cache.copy() if previous is not None else None
     return ClusterIndex(
         clusters=clusters,
         centers=centers,
         cluster_classes=np.asarray([c for c, _ in clusters]),
         example_cluster=example_cluster,
         variance=variance,
-        built_at_iteration=built_at_iteration,
-        loss_cache=cache,
     )

@@ -26,7 +26,6 @@ from .model import momentum_sgd
 @dataclass
 class MagnetConfig:
     alpha: float = 1.0
-    variance_normalization: bool = True
 
     def __post_init__(self):
         if not np.isfinite(self.alpha):
@@ -75,13 +74,9 @@ def magnet_minibatch_loss(
     a = reps - mu[example_clusters]
     s = np.einsum("ij,ij->i", a, a)
 
-    if config.variance_normalization:
-        v_raw = s.sum() / (b - 1)
-        floored = v_raw < VARIANCE_FLOOR
-        v = max(v_raw, VARIANCE_FLOOR)
-    else:
-        # exponent becomes -||.||^2 - alpha: encode as a constant v = 1/2
-        v, floored = 0.5, True
+    v_raw = s.sum() / (b - 1)
+    floored = v_raw < VARIANCE_FLOOR
+    v = max(v_raw, VARIANCE_FLOOR)
     inv2v = 1.0 / (2.0 * v)
 
     d2 = sqdist(reps, mu)
@@ -105,7 +100,7 @@ def magnet_minibatch_loss(
     # q_n = s_n/(2v) + alpha + logsumexp_m'(-d2[n,m']/(2v)).
     g_s = active * inv2v / b
     g_d = -active[:, None] * w * inv2v / b
-    if config.variance_normalization and not floored:
+    if not floored:
         dl_dv = (active * ((w * d2).sum(axis=1) - s)).sum() / (2.0 * v * v) / b
         g_s = g_s + dl_dv / (b - 1)
 

@@ -50,14 +50,11 @@ class MetricsRow:
 @dataclass
 class TrainResult:
     model: EmbeddingModel
-    index: Optional[ClusterIndex]
     metrics: List[MetricsRow]
     sigma2: float
-    head: Optional[L.LinearHead] = None
-    ncm: Optional[L.NcmModel] = None
-    train_data: Dataset = None
-    test_data: Dataset = None
-    step: Optional["_Step"] = None  # the objective that classifies for build_report
+    train_data: Dataset
+    test_data: Dataset
+    step: "_Step"  # the objective that classifies for build_report
 
 
 def resolve_datasets(config: ExperimentConfig) -> Tuple[Dataset, Dataset]:
@@ -118,8 +115,7 @@ def train(
 
     if checkpoint_dir is not None:
         _save_training_state(checkpoint_dir, step, rng, config.iterations, metrics, refreshed)
-    return TrainResult(step.model, step.index, metrics, step.sigma2(), step.head, step.ncm,
-                       train_data, test_data, step)
+    return TrainResult(step.model, metrics, step.sigma2(), train_data, test_data, step)
 
 
 def _reference_sigma2(reps, labels) -> float:
@@ -140,9 +136,6 @@ class _Step:
 
     seeded = False  # refresh takes an index seed drawn from the training rng
     metric = "soft_knn"
-    index: Optional[ClusterIndex] = None
-    head: Optional[L.LinearHead] = None
-    ncm: Optional[L.NcmModel] = None
 
     def __init__(self, config, train_data, test_data, model=None):
         self.config, self.train_data, self.test_data = config, train_data, test_data
@@ -179,9 +172,7 @@ class _MagnetStep(_Step):
         self.loss_cache = np.full(train_data.size, np.nan)
 
     def refresh(self, iteration, snapshot, seed):
-        self.index = build_index(
-            snapshot, self.train_data, k=self.config.k, seed=seed, built_at_iteration=iteration
-        )
+        self.index = build_index(snapshot, self.train_data, k=self.config.k, seed=seed)
         # shared, not copied: the cache carries over from index to index
         self.index.loss_cache = self.loss_cache
 
@@ -224,10 +215,9 @@ class _TripletStep(_Step):
         self.mined_reps = snapshot.embed(self.train_data.inputs)
 
     def step(self, iteration, rng):
-        count = max(self.config.batch_size, 1)
         seeds, pos, neg = sample_triplets(
-            self.mined_reps, self.train_data.labels, count, self.config.impostor_fraction, rng
-        )
+            self.mined_reps, self.train_data.labels, self.config.batch_size,
+            self.config.impostor_fraction, rng)
         stacked = np.concatenate([seeds, pos, neg])
         reps, trace = self.model.forward(self.train_data.inputs[stacked])
         result = L.triplet_loss(*np.split(reps, 3), self.config.alpha)

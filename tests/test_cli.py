@@ -21,6 +21,24 @@ SPEC = {
 }
 
 
+def _spec_bytes(**mode):
+    """SPEC as JSON with the first mode's keys replaced, or dropped for None."""
+    spec = json.loads(json.dumps(SPEC))
+    first = {**spec["classes"][0][0], **mode}
+    spec["classes"][0][0] = {k: v for k, v in first.items() if v is not None}
+    return json.dumps(spec).encode()
+
+
+# each was a raw KeyError, JSONDecodeError, ValueError or UnicodeDecodeError
+BAD_SPECS = {
+    "no-count": _spec_bytes(count=None),
+    "not-json": b"{bad",
+    "text-center": _spec_bytes(center="ab"),
+    "fractional-count": _spec_bytes(count=2.5),
+    "not-utf8": b"\xff\xfe{}",
+}
+
+
 def write_spec(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(SPEC))
@@ -68,6 +86,19 @@ class TestGenData:
     def test_missing_spec_errors(self, tmp_path, capsys):
         assert main(["gen-data", str(tmp_path / "nope.json"), str(tmp_path / "o.csv")]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train"])
+@pytest.mark.parametrize("case", BAD_SPECS)
+def test_malformed_spec_errors(tmp_path, capsys, command, case):
+    config = write_config(tmp_path)  # names tmp_path / "spec.json"
+    spec = tmp_path / "spec.json"
+    spec.write_bytes(BAD_SPECS[case])
+    args = {"gen-data": [str(spec), str(tmp_path / "o.csv")],
+            "train": [str(config), str(tmp_path / "out")]}[command]
+    assert main([command, *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "spec.json" in err
 
 
 class TestTrain:

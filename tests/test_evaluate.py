@@ -80,6 +80,12 @@ class TestKnc:
         with pytest.raises(ContractError, match="not finite"):
             classify_batch(ctx, np.array([[0.5], [2.5]]))
 
+    @pytest.mark.parametrize("classify", [knc_classify, soft_knn_classify])
+    def test_nan_scores_rejected_single_query(self, classify):
+        ctx = EvalContext(np.array([[0.0], [1.0], [np.nan], [3.0]]), [0, 1, 1, 1], 1.0, l=4)
+        with pytest.raises(ContractError, match="not finite"):
+            classify(ctx, np.array([0.5]))
+
     def test_empty_context_rejected(self):
         with pytest.raises(ContractError):
             EvalContext(np.zeros((0, 2)), np.zeros(0, dtype=int), sigma2=1.0)
@@ -213,6 +219,13 @@ class TestHierarchyRecovery:
         tr, trf, te, tef = self.separable()
         with pytest.raises(ConfigurationError):
             hierarchy_recovery_eval(tr, trf, te, tef, sigma2=1.0, method="hard_knn")
+
+    @pytest.mark.parametrize("method", ["knc", "soft_knn"])
+    def test_nan_scores_rejected(self, method):
+        refs = np.array([[0.0], [1.0], [np.nan], [3.0]])
+        with pytest.raises(ContractError, match="not finite"):
+            hierarchy_recovery_eval(refs, [0, 1, 2, 3], np.array([[0.5], [2.5]]), [0, 1],
+                                    sigma2=1.0, l=4, method=method)
 
     def test_joint_rescale_invariance(self):
         # scaling representations by t and sigma2 by t^2 leaves errors unchanged

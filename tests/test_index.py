@@ -3,9 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from magnetdml import Dataset, EmbeddingModel, build_index, kmeans
+from magnetdml import Dataset, EmbeddingModel, ExperimentConfig, build_index, kmeans
 from magnetdml.errors import ConfigurationError
 from magnetdml.index import VARIANCE_FLOOR
+from magnetdml.training import _MagnetStep
 
 
 def identity_model(dim):
@@ -98,13 +99,18 @@ class TestBuildIndex:
         with pytest.raises(ConfigurationError, match="class 1"):
             build_index(identity_model(1), ds, k=2, seed=0)
 
-    def test_loss_cache_carried_by_identity(self, small_dataset):
-        model = EmbeddingModel([3, 4], seed=1)
-        first = build_index(model, small_dataset, k=2, seed=0)
-        first.update_loss_cache([(0, 1.5), (7, 2.5)])
-        second = build_index(model, small_dataset, k=2, seed=1, previous=first)
-        assert second.loss_cache[0] == 1.5 and second.loss_cache[7] == 2.5
-        assert np.isnan(second.loss_cache[1])
+    def test_magnet_refresh_shares_loss_cache(self, small_dataset):
+        # the magnet step hands its one cache to every index it builds, so
+        # losses written before a refresh steer seeding after it
+        config = ExperimentConfig(layer_dims=[3, 4], k=2, m=2, d=2)
+        step = _MagnetStep(config, small_dataset, small_dataset)
+        step.refresh(0, step.model.snapshot(), 0)
+        step.step(0, np.random.default_rng(0))
+        written = step.loss_cache.copy()
+        assert np.isfinite(written).any()
+        step.refresh(1, step.model.snapshot(), 1)
+        assert step.index.loss_cache is step.loss_cache
+        np.testing.assert_array_equal(step.loss_cache, written)
 
 
 class TestLossCache:
@@ -167,13 +173,3 @@ class TestNearestImpostors:
                  for c in clusters]
         assert all(a <= b + 1e-12 for a, b in zip(dists, dists[1:]))
 
-
-class TestDump:
-    def test_json_dump(self, tmp_path, small_dataset):
-        import json
-
-        idx = build_index(EmbeddingModel([3, 4], seed=0), small_dataset, k=2, seed=0)
-        idx.dump(tmp_path / "index.json")
-        payload = json.loads((tmp_path / "index.json").read_text())
-        assert set(payload) == {"centers", "assignments", "variance", "built_at_iteration"}
-        assert len(payload["assignments"]) == small_dataset.size
