@@ -136,6 +136,8 @@ class MixtureSpec:
 def generate_mixture(spec: MixtureSpec, seed: int) -> Dataset:
     """Draw a dataset from a class/mode mixture; deterministic given seed."""
     spec.validate()
+    if seed < 0:
+        raise ConfigurationError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     inputs, labels, attrs = [], [], []
     has_attrs = any(m.attributes is not None for modes in spec.classes for m in modes)

@@ -28,8 +28,8 @@ class EvalContext:
         self.classes = np.asarray(self.classes, dtype=np.int64)
         if len(self.references) == 0:
             raise ContractError("evaluation context is empty")
-        if self.sigma2 <= 0:
-            raise ConfigurationError("sigma2 must be positive")
+        if not 0 < self.sigma2 < np.inf:  # NaN fails too
+            raise ConfigurationError("sigma2 must be positive and finite")
         if self.l < 1:
             raise ConfigurationError("L must be >= 1")
 

@@ -91,45 +91,107 @@ def sample_triplets(
     examples by current representation distance (1.0 = unmined).
 
     Impostors rank by (squared distance, index): at equal distance the lower
-    index is nearer, so the quantile pool is well defined under ties.
+    index is nearer, so the quantile pool is well defined under ties. The
+    squared distance is ``einsum("ij,ij->i", diff, diff)`` of
+    ``diff = reps[i] - reps[seed]``; ``_ranked_impostors`` evaluates it only
+    for the rows near the drawn rank.
     Returns (seed_idx, positive_idx, negative_idx) arrays of length ``count``.
     """
     if not 0 < impostor_fraction <= 1:
         raise ConfigurationError("impostor_fraction must lie in (0, 1]")
     reps = np.atleast_2d(np.asarray(representations, dtype=np.float64))
     labels = np.asarray(labels)
-    if len(np.unique(labels)) < 2:
+    _, classes, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    if len(sizes) < 2:
         raise ConfigurationError("triplet sampling needs at least two classes")
     rng = np.random.default_rng(rng)
-    class_members = {int(c): np.flatnonzero(labels == c) for c in np.unique(labels)}
-    class_others = {c: np.flatnonzero(labels != c) for c in class_members}
-    seedable = np.concatenate(
-        [m for m in class_members.values() if len(m) >= 2]
-    )
+    # each class's members in ascending index order, as rng.choice draws by
+    # position; the keys class * N + index are distinct, so any sort is stable
+    n = len(labels)
+    members = np.split(np.argsort(classes * n + np.arange(n)), np.cumsum(sizes)[:-1])
+    seedable = np.concatenate([m for m in members if len(m) >= 2])
     if len(seedable) == 0:
         raise ConfigurationError("no class has two examples to form a positive pair")
 
-    seeds = rng.choice(seedable, size=count)
+    seeds = rng.choice(seedable, size=count).astype(np.int64)
     positives = np.empty(count, dtype=np.int64)
-    negatives = np.empty(count, dtype=np.int64)
+    ranks = np.empty(count, dtype=np.int64)
     for t, s in enumerate(seeds):
-        same = class_members[int(labels[s])]
+        same = members[classes[s]]
         pos = int(rng.choice(same))
         while pos == s:
             pos = int(rng.choice(same))
         positives[t] = pos
-        others = class_others[int(labels[s])]
-        if impostor_fraction >= 1.0:
-            negatives[t] = int(rng.choice(others))
-            continue
-        # draw the pool rank first (the same stream as choosing from the
-        # pool), then select the impostor at that rank without a full sort
-        j = int(rng.integers(max(1, int(np.ceil(impostor_fraction * len(others))))))
-        diff = reps - reps[s]
-        d2 = np.einsum("ij,ij->i", diff, diff)[others]
-        v = np.partition(d2, j)[j]
-        if np.isnan(v):  # NaNs rank last, in index order
-            negatives[t] = others[np.argsort(d2, kind="stable")[j]]
-        else:
-            negatives[t] = others[np.flatnonzero(d2 == v)[j - np.count_nonzero(d2 < v)]]
-    return seeds.astype(np.int64), positives, negatives
+        # the negative's rank among the other-class examples, drawn from the
+        # same stream as rng.choice over its pool: by index when unmined, by
+        # (squared distance, index) when mined
+        ranks[t] = rng.integers(max(1, int(np.ceil(impostor_fraction * (n - len(same))))))
+    if impostor_fraction >= 1.0:
+        negatives = np.array([np.flatnonzero(classes != classes[s])[j]
+                              for s, j in zip(seeds, ranks)], dtype=np.int64)
+    else:
+        other = classes[seeds][:, None] != classes[None, :]
+        negatives = _ranked_impostors(reps, seeds, other, ranks)
+    return seeds, positives, negatives
+
+
+def _ranked_impostors(reps, seeds, other, ranks):
+    """For each seed ``s = seeds[t]``, the row ``i`` with ``other[t, i]`` at
+    rank ``ranks[t]`` by (d2, i), where d2 is the einsum squared distance that
+    ``sample_triplets`` documents.
+
+    Filter and refine. One matrix product gives every seed's approximate
+    distances ``‖r_s‖² + ‖r_i‖² - 2 r_s·r_i``. Standard rounding-error bounds
+    put both that expansion and the einsum within ``(R + 2)·eps·(‖r_i‖ +
+    ‖r_s‖)²`` of the true squared distance (R = dims), plus a few half-
+    subnormals where products underflow. ``err`` is several times that, so
+    ``|approx - d2| <= err`` on every row. An order statistic moves by no more
+    than the largest perturbation, so the exact value at the drawn rank lies
+    within ``err`` of ``v``, the approximate value at that rank. A row with
+    ``approx < v - 2·err`` is therefore exactly nearer than the pick and one
+    with ``approx > v + 2·err`` exactly farther: neither can move it. Only the
+    rows in between (the band) get exact distances, and the pick is the
+    band's entry at rank ``ranks[t] - below``, where ``below`` counts the rows
+    under the band. The band holds every row tied with the pick, so ties still
+    break by index.
+
+    The bound holds only for finite arithmetic. ``err`` is finite exactly
+    when every norm is and ``span² = (2·(max‖r‖ + ‖r_s‖))²`` does not
+    overflow; the expansion, its matrix product and the einsum are then all
+    at most about ``span² / 4`` and cannot overflow either. When any ``err``
+    is not finite (NaN or inf in the input, or values near the overflow
+    threshold), every seed takes exact distances over all rows instead.
+    """
+    eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).smallest_subnormal
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.einsum("ij,ij->i", reps, reps)
+        span = 2.0 * (np.sqrt(sq.max()) + np.sqrt(sq[seeds]))
+        err = 2 * (reps.shape[1] + 4) * (eps * span**2 + 4 * tiny)
+    if not np.isfinite(err).all():
+        return np.array([_exact_impostor(reps, s, np.flatnonzero(row), j)
+                         for s, row, j in zip(seeds, other, ranks)], dtype=np.int64)
+    approx = reps[seeds] @ reps.T  # becomes ‖r_s‖² + ‖r_i‖² - 2 r_s·r_i in place
+    approx *= -2.0
+    approx += sq[seeds, None]
+    approx += sq
+    approx[~other] = np.inf  # same-class rows rank after every impostor
+    v = np.array([np.partition(row, j)[j] for row, j in zip(approx, ranks)])
+    lo, hi = (v - 2 * err)[:, None], (v + 2 * err)[:, None]
+    below = np.count_nonzero(approx < lo, axis=1)
+    band_seed, band = np.divmod(np.flatnonzero((approx >= lo) & (approx <= hi)), len(reps))
+    diff = reps[band] - reps[seeds[band_seed]]
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    order = np.lexsort((band, d2, band_seed))  # by seed, then (d2, index)
+    start = np.searchsorted(band_seed, np.arange(len(seeds)))
+    return band[order[start + ranks - below]]
+
+
+def _exact_impostor(reps, s, others, j):
+    """The row of ``others`` at rank ``j`` by (d2, index), from the einsum
+    distances of every row to ``reps[s]``."""
+    diff = reps - reps[s]
+    d2 = np.einsum("ij,ij->i", diff, diff)[others]
+    v = np.partition(d2, j)[j]
+    if np.isnan(v):  # NaNs rank last, in index order
+        return others[np.argsort(d2, kind="stable")[j]]
+    return others[np.flatnonzero(d2 == v)[j - np.count_nonzero(d2 < v)]]

@@ -87,6 +87,12 @@ class TestGenData:
         assert main(["gen-data", str(tmp_path / "nope.json"), str(tmp_path / "o.csv")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_seed_errors(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert main(["gen-data", str(write_spec(tmp_path)), str(out), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err.startswith("error: seed must be >= 0")
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("command", ["gen-data", "train"])
 @pytest.mark.parametrize("case", BAD_SPECS)
@@ -260,6 +266,18 @@ class TestEval:
                    "--objective", objective, "--sigma2", "0"])
         assert rc == 1
         assert "sigma2 must be positive" in capsys.readouterr().err
+
+    def test_infinite_sigma2_rejected(self, tmp_path, capsys):
+        config = write_config(tmp_path, iterations=20)
+        outdir = tmp_path / "out"
+        main(["train", str(config), str(outdir)])
+        data = tmp_path / "data.csv"
+        main(["gen-data", str(write_spec(tmp_path)), str(data)])
+        capsys.readouterr()
+        rc = main(["eval", str(outdir / "checkpoint.bin"), str(data), str(tmp_path / "eval"),
+                   "--sigma2", "inf"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: sigma2 must be positive and finite")
 
 
 class TestBench:

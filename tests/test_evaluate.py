@@ -94,6 +94,11 @@ class TestKnc:
         with pytest.raises(ConfigurationError):
             EvalContext(np.zeros((1, 2)), np.zeros(1, dtype=int), sigma2=0.0)
 
+    @pytest.mark.parametrize("sigma2", [np.inf, -np.inf, np.nan])
+    def test_non_finite_sigma_rejected(self, sigma2):
+        with pytest.raises(ConfigurationError, match="finite"):
+            EvalContext(np.zeros((1, 2)), np.zeros(1, dtype=int), sigma2=sigma2)
+
 
 class TestErrorRate:
     def test_values(self):

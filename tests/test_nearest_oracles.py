@@ -148,3 +148,47 @@ def test_sample_triplets_matches_full_sort(
     for g, w in zip(got, want):
         assert same_bytes(g, w)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 80),
+    dim=st.integers(1, 32),
+    distinct=st.integers(1, 90),
+    n_classes=st.integers(2, 4),
+    count=st.integers(1, 20),
+    impostor_fraction=st.one_of(
+        st.sampled_from([1e-9, 0.01, 0.2, 0.5, 0.999]),
+        st.floats(min_value=1e-6, max_value=0.999),
+    ),
+    log_scale=st.one_of(
+        st.floats(-8, 160),
+        st.floats(-162, -156),
+        st.sampled_from([-8.0, 152.0, 153.0, 154.0]),
+    ),
+    offset=st.sampled_from([0.0, 0.0, 10.0, 1e4, 1e7, 1e9]),
+)
+def test_sample_triplets_matches_full_sort_continuous(
+    seed, n, dim, distinct, n_classes, count, impostor_fraction, log_scale, offset
+):
+    """Continuous coordinates up to 32-d, where the matrix-product distances
+    that filter the impostor pool differ from the exact ones: a large common
+    offset makes the expansion cancel badly, scales run from 1e-8 to past the
+    point where squared norms overflow (and down to where squares are
+    subnormal), and rows are drawn from ``distinct`` prototypes so that
+    duplicates put exact ties on the pool boundary."""
+    rng = np.random.default_rng(seed)
+    labels = np.concatenate([[0, 0], np.arange(n_classes), rng.integers(0, n_classes, n)])
+    direction = rng.standard_normal(dim)
+    prototypes = offset * direction / np.linalg.norm(direction) + rng.standard_normal(
+        (distinct, dim))
+    reps = prototypes[rng.integers(distinct, size=len(labels))] * 10.0**log_scale
+    want_rng = np.random.default_rng(seed + 1)
+    got_rng = np.random.default_rng(seed + 1)
+    with np.errstate(all="ignore"):
+        want = reference_sample_triplets(reps, labels, count, impostor_fraction, want_rng)
+        got = sample_triplets(reps, labels, count, impostor_fraction, got_rng)
+    for g, w in zip(got, want):
+        assert same_bytes(g, w)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
