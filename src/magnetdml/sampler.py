@@ -4,6 +4,7 @@ cluster-overlap objective, and mined triplets for the baseline."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import List, Tuple
 
 import numpy as np
@@ -105,10 +106,8 @@ def sample_triplets(
     if len(sizes) < 2:
         raise ConfigurationError("triplet sampling needs at least two classes")
     rng = np.random.default_rng(rng)
-    # each class's members in ascending index order, as rng.choice draws by
-    # position; the keys class * N + index are distinct, so any sort is stable
-    n = len(labels)
-    members = np.split(np.argsort(classes * n + np.arange(n)), np.cumsum(sizes)[:-1])
+    # each class's members in ascending index order, as rng.choice draws by position
+    members = np.split(np.argsort(classes, kind="stable"), np.cumsum(sizes)[:-1])
     seedable = np.concatenate([m for m in members if len(m) >= 2])
     if len(seedable) == 0:
         raise ConfigurationError("no class has two examples to form a positive pair")
@@ -125,73 +124,79 @@ def sample_triplets(
         # the negative's rank among the other-class examples, drawn from the
         # same stream as rng.choice over its pool: by index when unmined, by
         # (squared distance, index) when mined
-        ranks[t] = rng.integers(max(1, int(np.ceil(impostor_fraction * (n - len(same))))))
+        ranks[t] = rng.integers(max(1, int(np.ceil(impostor_fraction * (len(labels) - len(same))))))
     if impostor_fraction >= 1.0:
         negatives = np.array([np.flatnonzero(classes != classes[s])[j]
                               for s, j in zip(seeds, ranks)], dtype=np.int64)
     else:
-        other = classes[seeds][:, None] != classes[None, :]
-        negatives = _ranked_impostors(reps, seeds, other, ranks)
+        negatives = _ranked_impostors(reps, classes, members, seeds, ranks)
     return seeds, positives, negatives
 
 
-def _ranked_impostors(reps, seeds, other, ranks):
-    """For each seed ``s = seeds[t]``, the row ``i`` with ``other[t, i]`` at
-    rank ``ranks[t]`` by (d2, i), where d2 is the einsum squared distance that
-    ``sample_triplets`` documents.
+# seeds whose approximate distances one matrix product gives at once, so that
+# the working memory is SEED_BLOCK x N distances plus one seed's band (at most
+# N x R), whatever the batch size
+SEED_BLOCK = 16
 
-    Filter and refine. One matrix product gives every seed's approximate
-    distances ``‖r_s‖² + ‖r_i‖² - 2 r_s·r_i``. Standard rounding-error bounds
-    put both that expansion and the einsum within ``(R + 2)·eps·(‖r_i‖ +
-    ‖r_s‖)²`` of the true squared distance (R = dims), plus a few half-
-    subnormals where products underflow. ``err`` is several times that, so
-    ``|approx - d2| <= err`` on every row. An order statistic moves by no more
-    than the largest perturbation, so the exact value at the drawn rank lies
-    within ``err`` of ``v``, the approximate value at that rank. A row with
-    ``approx < v - 2·err`` is therefore exactly nearer than the pick and one
-    with ``approx > v + 2·err`` exactly farther: neither can move it. Only the
-    rows in between (the band) get exact distances, and the pick is the
-    band's entry at rank ``ranks[t] - below``, where ``below`` counts the rows
-    under the band. The band holds every row tied with the pick, so ties still
-    break by index.
+
+def _ranked_impostors(reps, classes, members, seeds, ranks):
+    """For each seed ``s = seeds[t]``, the row ``i`` outside the seed's class
+    ``members[classes[s]]`` at rank ``ranks[t]`` by (d2, i), where d2 is the
+    einsum squared distance that ``sample_triplets`` documents.
+
+    Filter and refine. One matrix product per block of seeds gives the
+    approximate distances ``‖r_s‖² + ‖r_i‖² - 2 r_s·r_i``. Standard
+    rounding-error bounds put both that expansion and the einsum within
+    ``(R + 2)·eps·(‖r_i‖ + ‖r_s‖)²`` of the true squared distance (R = dims),
+    plus a few half-subnormals where products underflow. ``err`` is several
+    times that, so ``|approx - d2| <= err`` on every row. An order statistic
+    moves by no more than the largest perturbation, so the exact value at the
+    drawn rank lies within ``err`` of ``v``, the approximate value at that
+    rank. A row with ``approx < v - 2·err`` is therefore exactly nearer than
+    the pick and one with ``approx > v + 2·err`` exactly farther: neither can
+    move it. Only the rows in between (the band) get exact distances, and the
+    pick is the band's entry at rank ``ranks[t] - below``, where ``below``
+    counts the rows under the band. The band holds every row tied with the
+    pick, so ties still break by index.
 
     The bound holds only for finite arithmetic. ``err`` is finite exactly
     when every norm is and ``span² = (2·(max‖r‖ + ‖r_s‖))²`` does not
     overflow; the expansion, its matrix product and the einsum are then all
     at most about ``span² / 4`` and cannot overflow either. When any ``err``
     is not finite (NaN or inf in the input, or values near the overflow
-    threshold), every seed takes exact distances over all rows instead.
+    threshold), the band is every other-class row and ``below`` is 0; the
+    (d2, index) sort puts NaN distances last, in index order.
     """
     eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).smallest_subnormal
     with np.errstate(over="ignore", invalid="ignore"):
         sq = np.einsum("ij,ij->i", reps, reps)
         span = 2.0 * (np.sqrt(sq.max()) + np.sqrt(sq[seeds]))
         err = 2 * (reps.shape[1] + 4) * (eps * span**2 + 4 * tiny)
-    if not np.isfinite(err).all():
-        return np.array([_exact_impostor(reps, s, np.flatnonzero(row), j)
-                         for s, row, j in zip(seeds, other, ranks)], dtype=np.int64)
-    approx = reps[seeds] @ reps.T  # becomes ‖r_s‖² + ‖r_i‖² - 2 r_s·r_i in place
-    approx *= -2.0
-    approx += sq[seeds, None]
-    approx += sq
-    approx[~other] = np.inf  # same-class rows rank after every impostor
-    v = np.array([np.partition(row, j)[j] for row, j in zip(approx, ranks)])
-    lo, hi = (v - 2 * err)[:, None], (v + 2 * err)[:, None]
-    below = np.count_nonzero(approx < lo, axis=1)
-    band_seed, band = np.divmod(np.flatnonzero((approx >= lo) & (approx <= hi)), len(reps))
-    diff = reps[band] - reps[seeds[band_seed]]
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    order = np.lexsort((band, d2, band_seed))  # by seed, then (d2, index)
-    start = np.searchsorted(band_seed, np.arange(len(seeds)))
-    return band[order[start + ranks - below]]
+    rows = _approx_sqdist(reps, sq, seeds) if np.isfinite(err).all() else repeat(None)
+    negatives = np.empty(len(seeds), dtype=np.int64)
+    for t, (s, j, e, approx) in enumerate(zip(seeds, ranks, err, rows)):
+        if approx is None:
+            band, below = np.flatnonzero(classes != classes[s]), 0
+        else:
+            approx[members[classes[s]]] = np.inf  # same-class rows rank after every impostor
+            v = np.partition(approx, j)[j]
+            lo, hi = v - 2 * e, v + 2 * e
+            below = np.count_nonzero(approx < lo)
+            band = np.flatnonzero((approx >= lo) & (approx <= hi))
+        diff = reps[band]
+        diff -= reps[s]
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        negatives[t] = band[np.lexsort((band, d2))[j - below]]
+    return negatives
 
 
-def _exact_impostor(reps, s, others, j):
-    """The row of ``others`` at rank ``j`` by (d2, index), from the einsum
-    distances of every row to ``reps[s]``."""
-    diff = reps - reps[s]
-    d2 = np.einsum("ij,ij->i", diff, diff)[others]
-    v = np.partition(d2, j)[j]
-    if np.isnan(v):  # NaNs rank last, in index order
-        return others[np.argsort(d2, kind="stable")[j]]
-    return others[np.flatnonzero(d2 == v)[j - np.count_nonzero(d2 < v)]]
+def _approx_sqdist(reps, sq, seeds):
+    """Yield, seed by seed, ``‖r_s‖² + ‖r_i‖² - 2 r_s·r_i`` over every row
+    ``i``, from one matrix product per SEED_BLOCK seeds."""
+    for lo in range(0, len(seeds), SEED_BLOCK):
+        block = seeds[lo:lo + SEED_BLOCK]
+        approx = reps[block] @ reps.T  # becomes the expansion in place
+        approx *= -2.0
+        approx += sq[block, None]
+        approx += sq
+        yield from approx
