@@ -299,6 +299,13 @@ def _init_linear(out_dim, in_dim, seed):
     return np.random.default_rng(seed).uniform(-s, s, size=(out_dim, in_dim))
 
 
+def _ncm_sqdist(model: NcmModel, x: np.ndarray) -> np.ndarray:
+    """Squared distances (N, C, K) between the mapped inputs and centroids."""
+    c, k, d = model.centroids.shape
+    flat = model.centroids.reshape(c * k, d)
+    return sqdist(x @ model.w.T, flat @ model.w.T).reshape(len(x), c, k)
+
+
 def ncm_loss(model: NcmModel, inputs: np.ndarray, labels: np.ndarray):
     """Softmax-over-negative-squared-distances to fixed class centroids.
 
@@ -309,11 +316,7 @@ def ncm_loss(model: NcmModel, inputs: np.ndarray, labels: np.ndarray):
     labels = np.asarray(labels)
     n = len(x)
     c, k, d = model.centroids.shape
-    w = model.w
-    # v[n, c, k, d] = x_n - centroid_{c,k}; u = W v
-    v = x[:, None, None, :] - model.centroids[None, :, :, :]
-    u = np.einsum("od,nckd->ncko", w, v)
-    dist2 = np.einsum("ncko,ncko->nck", u, u)
+    dist2 = _ncm_sqdist(model, x)
     best = dist2.argmin(axis=2)
     z = -dist2[np.arange(n)[:, None], np.arange(c)[None, :], best]
 
@@ -325,19 +328,19 @@ def ncm_loss(model: NcmModel, inputs: np.ndarray, labels: np.ndarray):
     dz = p.copy()
     dz[np.arange(n), labels] -= 1.0
     dz /= n
-    v_best = v[np.arange(n)[:, None], np.arange(c)[None, :], best]
-    u_best = u[np.arange(n)[:, None], np.arange(c)[None, :], best]
-    # dL/dW = sum_{n,c} dz[n,c] * (-2) u_best v_best^T
-    grad_w = -2.0 * np.einsum("nc,nco,ncd->od", dz, u_best, v_best)
-    return float(losses.mean()), grad_w
+    # dL/dW = -2 W S with S = sum_{n,c} dz[n,c] (x_n - c_best)(x_n - c_best)^T,
+    # expanded over the flat centroids: D holds dz[n,c] at column c*K + best
+    flat = model.centroids.reshape(c * k, d)
+    dmat = np.zeros((n, c * k))
+    dmat[np.arange(n)[:, None], np.arange(c) * k + best] = dz
+    xdc = x.T @ dmat @ flat
+    s = (x.T * dmat.sum(axis=1)) @ x - xdc - xdc.T + (flat.T * dmat.sum(axis=0)) @ flat
+    return float(losses.mean()), -2.0 * model.w @ s
 
 
 def ncm_classify(model: NcmModel, inputs: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    v = x[:, None, None, :] - model.centroids[None, :, :, :]
-    u = np.einsum("od,nckd->ncko", model.w, v)
-    dist2 = np.einsum("ncko,ncko->nck", u, u).min(axis=2)
-    return dist2.argmin(axis=1)
+    return _ncm_sqdist(model, x).min(axis=2).argmin(axis=1)
 
 
 def softmax_xent(logits: np.ndarray, labels: np.ndarray):
