@@ -27,6 +27,7 @@ from .evaluate import (
     error_rate,
     hierarchy_recovery_eval,
     knc_classify,
+    reference_sigma2,
     soft_knn_classify,
 )
 from .index import ClusterIndex, build_index, kmeans

@@ -18,11 +18,11 @@ from pathlib import Path
 from .config import ExperimentConfig, parse_config
 from .data import MixtureSpec, generate_mixture, load_dataset, save_dataset
 from .errors import ConfigurationError, ContractError, ParseError
-from .evaluate import EvalContext, classify_batch, error_rate
+from .evaluate import EvalContext, classify_batch, error_rate, reference_sigma2
 from .gradcheck import check_all_objectives
 from .index import build_index
 from .model import EmbeddingModel
-from .training import _reference_sigma2, bench, build_report, train, write_metrics_csv
+from .training import bench, build_report, train, write_metrics_csv
 
 
 def main(argv=None) -> int:
@@ -107,7 +107,7 @@ def _dispatch(args) -> int:
             metric = "knc"
         else:
             reps = model.embed(refs.inputs)
-            sigma2 = _reference_sigma2(reps, refs.labels) if args.sigma2 is None else args.sigma2
+            sigma2 = reference_sigma2(reps, refs.labels) if args.sigma2 is None else args.sigma2
             ctx = EvalContext(reps, refs.labels, sigma2, l=args.l)
             metric = "soft_knn"
         preds = classify_batch(ctx, model.embed(test.inputs))

@@ -9,7 +9,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigurationError, ContractError
-from .index import sqdist
+from .index import VARIANCE_FLOOR, sqdist
 
 
 @dataclass
@@ -32,6 +32,18 @@ class EvalContext:
             raise ConfigurationError("sigma2 must be positive and finite")
         if self.l < 1:
             raise ConfigurationError("L must be >= 1")
+
+
+def reference_sigma2(reps, labels) -> float:
+    """Soft-kNN reference variance: the variance of representations about
+    their class means, (N-1) divisor, floored at ``VARIANCE_FLOOR``."""
+    labels = np.asarray(labels)
+    total = 0.0
+    for c in np.unique(labels):
+        members = reps[labels == c]
+        resid = members - members.mean(axis=0)
+        total += float(np.einsum("ij,ij->i", resid, resid).sum())
+    return max(total / max(len(reps) - 1, 1), VARIANCE_FLOOR)
 
 
 def _stable_nearest(d2: np.ndarray, l: int) -> np.ndarray:

@@ -34,7 +34,8 @@ from . import losses as L
 from .config import ExperimentConfig
 from .data import Dataset, MixtureSpec, generate_mixture, load_dataset, split
 from .errors import ConfigurationError, ContractError, ParseError
-from .evaluate import EvalContext, SigmaTracker, attribute_precision, classify_batch, error_rate
+from .evaluate import (EvalContext, SigmaTracker, attribute_precision, classify_batch, error_rate,
+                       reference_sigma2)
 from .index import ClusterIndex, build_index
 from .model import EmbeddingModel
 from .sampler import sample_neighbourhood, sample_triplets
@@ -118,17 +119,6 @@ def train(
     return TrainResult(step.model, metrics, step.sigma2(), train_data, test_data, step)
 
 
-def _reference_sigma2(reps, labels) -> float:
-    """Variance of representations about their class means, (N-1) divisor."""
-    labels = np.asarray(labels)
-    total = 0.0
-    for c in np.unique(labels):
-        members = reps[labels == c]
-        resid = members - members.mean(axis=0)
-        total += float(np.einsum("ij,ij->i", resid, resid).sum())
-    return max(total / max(len(reps) - 1, 1), L.VARIANCE_FLOOR)
-
-
 class _Step:
     """The part of the loop that differs between objectives (module docstring).
     ``step`` returns the loss and the batch to name if the loss is not finite;
@@ -147,12 +137,12 @@ class _Step:
 
     def predict(self, sigma2, iteration) -> np.ndarray:
         reps = self.model.embed(self.train_data.inputs)
-        sigma2 = sigma2 or _reference_sigma2(reps, self.train_data.labels)
+        sigma2 = sigma2 or reference_sigma2(reps, self.train_data.labels)
         ctx = EvalContext(reps, self.train_data.labels, sigma2, l=self.config.eval_l)
         return classify_batch(ctx, self.model.embed(self.test_data.inputs))
 
     def sigma2(self) -> float:
-        return _reference_sigma2(self.model.embed(self.train_data.inputs), self.train_data.labels)
+        return reference_sigma2(self.model.embed(self.train_data.inputs), self.train_data.labels)
 
     def state(self) -> dict:
         return {}
