@@ -128,13 +128,11 @@ class EmbeddingModel:
         self._version += 1
 
     def snapshot(self) -> "EmbeddingModel":
-        """Frozen deep copy for index building and evaluation."""
+        """Frozen copy of the parameters (no velocities) for index building and evaluation."""
         clone = EmbeddingModel.__new__(EmbeddingModel)
         clone.layer_dims = list(self.layer_dims)
         clone.weights = [w.copy() for w in self.weights]
         clone.biases = [b.copy() for b in self.biases]
-        clone.w_velocity = [v.copy() for v in self.w_velocity]
-        clone.b_velocity = [v.copy() for v in self.b_velocity]
         clone._version = self._version
         return clone
 
