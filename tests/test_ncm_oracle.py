@@ -65,18 +65,15 @@ def reference_ncm_loss(model: NcmModel, inputs, labels):
     return float(losses.mean()), grad_w
 
 
-def reference_ncm_classify(model: NcmModel, inputs):
-    x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    v = x[:, None, None, :] - model.centroids[None, :, :, :]
-    u = np.einsum("od,nckd->ncko", model.w, v)
-    dist2 = np.einsum("ncko,ncko->nck", u, u).min(axis=2)
-    return dist2.argmin(axis=1)
-
-
 def reference_dist2(model, x):
     v = x[:, None, None, :] - model.centroids[None, :, :, :]
     u = np.einsum("od,nckd->ncko", model.w, v)
     return np.einsum("ncko,ncko->nck", u, u)
+
+
+def reference_ncm_classify(model: NcmModel, inputs):
+    x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+    return reference_dist2(model, x).min(axis=2).argmin(axis=1)
 
 
 def dist_tolerance(model, x):
