@@ -129,7 +129,7 @@ def fixed_nearest(model, x):
     each centroid with other coordinates is farther by more than 2 tol."""
     dist2 = reference_dist2(model, x)
     tol = dist_tolerance(model, x).max(axis=2)
-    c, k, _ = model.centroids.shape
+    c = model.centroids.shape[0]
     best = dist2.argmin(axis=2)
     best_cent = model.centroids[np.arange(c)[None, :], best]  # (n, c, d)
     other = (model.centroids[None] != best_cent[:, :, None, :]).any(axis=3)
@@ -207,8 +207,8 @@ def test_ncm_matches_einsum_reference(
 
 def test_ncmc_at_benchmark_shape_is_fully_checked():
     """The baselines benchmark's ncmc shape (C = 10, K = 3, d = 8, o = 32) on
-    unit-scale data with distinct centroids: every prediction and every nearest centroid is fixed by
-    the bound, so the whole gradient is compared."""
+    unit-scale data with distinct centroids: the bound fixes every prediction
+    and every nearest centroid, so the whole gradient is compared."""
     model, x, labels = random_case(
         3, 300, 10, 3, 8, 32, 10_000, 0.0, -0.5, 0.0, 0.0)
     check_against_reference(model, x, labels, require_all=True)
