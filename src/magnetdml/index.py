@@ -9,7 +9,6 @@ sampling, and the global variance of representations about their centers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
 
 import numpy as np
 
@@ -87,13 +86,13 @@ def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class ClusterIndex:
     """Cluster centers, assignments, loss cache and global variance.
 
-    ``clusters`` lists (class, within-class cluster id) pairs; ``centers``
-    is row-aligned with it. ``example_cluster`` maps example index to a row
-    of ``clusters``. ``loss_cache`` holds NaN until an example is first
-    visited.
+    A cluster is addressed by its row in ``centers``: cluster j of class c is
+    row ``c·k + j``, and ``cluster_classes[row]`` is its class.
+    ``example_cluster`` maps example index to a row, and ``members[row]``
+    lists the examples of that cluster. ``loss_cache`` holds NaN until an
+    example is first visited.
     """
 
-    clusters: List[Tuple[int, int]]
     centers: np.ndarray
     cluster_classes: np.ndarray
     example_cluster: np.ndarray
@@ -102,20 +101,13 @@ class ClusterIndex:
 
     def __post_init__(self):
         self.loss_cache = np.full(len(self.example_cluster), np.nan)
-        self._members = [
-            np.flatnonzero(self.example_cluster == j) for j in range(len(self.clusters))
+        self.members = [
+            np.flatnonzero(self.example_cluster == j) for j in range(self.cluster_count)
         ]
-        self._cluster_row = {cl: j for j, cl in enumerate(self.clusters)}
 
     @property
     def cluster_count(self) -> int:
-        return len(self.clusters)
-
-    def members(self, cluster: Tuple[int, int]) -> np.ndarray:
-        return self._members[self._cluster_row[tuple(cluster)]]
-
-    def cluster_row(self, cluster: Tuple[int, int]) -> int:
-        return self._cluster_row[tuple(cluster)]
+        return len(self.centers)
 
     def update_loss_cache(self, example_losses):
         """Overwrite cached losses for the given (example index, loss) pairs."""
@@ -128,28 +120,26 @@ class ClusterIndex:
         cached = self.loss_cache[~np.isnan(self.loss_cache)]
         fallback = float(cached.mean()) if len(cached) else 1.0
         means = np.empty(self.cluster_count)
-        for j, members in enumerate(self._members):
+        for j, members in enumerate(self.members):
             vals = self.loss_cache[members]
             vals = vals[~np.isnan(vals)]
             means[j] = vals.mean() if len(vals) else fallback
         return means
 
-    def nearest_impostor_clusters(self, seed_cluster: Tuple[int, int], count: int):
-        """Up to ``count`` clusters of other classes, by ascending center distance.
+    def nearest_impostor_clusters(self, row: int, count: int):
+        """Up to ``count`` rows of clusters of other classes, by ascending
+        center distance from cluster ``row``.
 
-        Returns (list of (class, cluster), truncated) where ``truncated`` is
-        set when fewer impostor clusters exist than requested.
+        Returns (int array of rows, truncated) where ``truncated`` is set
+        when fewer impostor clusters exist than requested.
         """
-        row = self.cluster_row(seed_cluster)
-        seed_class = self.cluster_classes[row]
-        candidates = np.flatnonzero(self.cluster_classes != seed_class)
+        candidates = np.flatnonzero(self.cluster_classes != self.cluster_classes[row])
         d2 = np.einsum(
             "ij,ij->i", self.centers[candidates] - self.centers[row],
             self.centers[candidates] - self.centers[row],
         )
-        order = candidates[np.argsort(d2, kind="stable")]
-        chosen = order[:count]
-        return [self.clusters[j] for j in chosen], len(chosen) < count
+        chosen = candidates[np.argsort(d2, kind="stable")][:count]
+        return chosen, len(chosen) < count
 
 
 def build_index(model, dataset: Dataset, k: int = 1, seed: int = 0) -> ClusterIndex:
@@ -159,7 +149,6 @@ def build_index(model, dataset: Dataset, k: int = 1, seed: int = 0) -> ClusterIn
     and is floored at ``VARIANCE_FLOOR``.
     """
     reps = model.embed(dataset.inputs)
-    clusters: List[Tuple[int, int]] = []
     centers = []
     example_cluster = np.empty(dataset.size, dtype=np.int64)
     for c in range(dataset.class_count):
@@ -169,10 +158,8 @@ def build_index(model, dataset: Dataset, k: int = 1, seed: int = 0) -> ClusterIn
                 f"class {c} has {len(members)} examples, fewer than K={k}"
             )
         c_centers, assign, _ = kmeans(reps[members], k, seed=seed + c)
-        base = len(clusters)
-        clusters.extend((c, j) for j in range(k))
         centers.append(c_centers)
-        example_cluster[members] = base + assign
+        example_cluster[members] = c * k + assign
 
     centers = np.vstack(centers)
     residual = reps - centers[example_cluster]
@@ -180,9 +167,8 @@ def build_index(model, dataset: Dataset, k: int = 1, seed: int = 0) -> ClusterIn
     variance = float(np.einsum("ij,ij->i", residual, residual).sum() / max(n - 1, 1))
     variance = max(variance, VARIANCE_FLOOR)
     return ClusterIndex(
-        clusters=clusters,
         centers=centers,
-        cluster_classes=np.asarray([c for c, _ in clusters]),
+        cluster_classes=np.repeat(np.arange(dataset.class_count), k),
         example_cluster=example_cluster,
         variance=variance,
     )

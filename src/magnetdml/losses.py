@@ -154,24 +154,12 @@ def triplet_loss(
     positives: np.ndarray,
     negatives: np.ndarray,
     alpha: float,
-    normalize: bool = False,
 ) -> TripletLossResult:
-    """Mean over triplets of hinge(||r - r+||^2 - ||r - r-||^2 + alpha).
-
-    With ``normalize`` the representations are length-normalized before the
-    loss and gradients flow through the normalization.
-    """
+    """Mean over triplets of hinge(||r - r+||^2 - ||r - r-||^2 + alpha)."""
     if alpha < 0:
         raise ConfigurationError("alpha must be >= 0")
-    seeds = np.atleast_2d(np.asarray(seeds, dtype=np.float64))
-    positives = np.atleast_2d(np.asarray(positives, dtype=np.float64))
-    negatives = np.atleast_2d(np.asarray(negatives, dtype=np.float64))
-    raw = (seeds, positives, negatives)
-    if normalize:
-        norms = [np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-12) for x in raw]
-        r, p, n = (x / nm for x, nm in zip(raw, norms))
-    else:
-        r, p, n = raw
+    r, p, n = (np.atleast_2d(np.asarray(x, dtype=np.float64))
+               for x in (seeds, positives, negatives))
     m = len(r)
     dp = r - p
     dn = r - n
@@ -181,11 +169,6 @@ def triplet_loss(
     g_r = active * 2.0 * (dp - dn)
     g_p = active * -2.0 * dp
     g_n = active * 2.0 * dn
-    if normalize:
-        g_r, g_p, g_n = (
-            _through_normalization(g, x, xn, nm)
-            for g, x, xn, nm in zip((g_r, g_p, g_n), raw, (r, p, n), norms)
-        )
     return TripletLossResult(
         mean_loss=float(losses.mean()),
         seed_grads=g_r,
@@ -193,11 +176,6 @@ def triplet_loss(
         negative_grads=g_n,
         hinge_args=q,
     )
-
-
-def _through_normalization(grad, x, x_hat, norm):
-    # d(x/||x||)/dx applied to an upstream gradient, row-wise
-    return (grad - x_hat * np.einsum("ij,ij->i", grad, x_hat)[:, None]) / norm
 
 
 def magnet_as_triplet(seed_pair: np.ndarray, impostor: np.ndarray, alpha: float) -> float:
@@ -319,15 +297,7 @@ def ncm_loss(model: NcmModel, inputs: np.ndarray, labels: np.ndarray):
     dist2 = _ncm_sqdist(model, x)
     best = dist2.argmin(axis=2)
     z = -dist2[np.arange(n)[:, None], np.arange(c)[None, :], best]
-
-    shift = z.max(axis=1, keepdims=True)
-    e = np.exp(z - shift)
-    p = e / e.sum(axis=1, keepdims=True)
-    losses = -(z[np.arange(n), labels] - shift[:, 0]) + np.log(e.sum(axis=1))
-
-    dz = p.copy()
-    dz[np.arange(n), labels] -= 1.0
-    dz /= n
+    loss, dz = softmax_xent(z, labels)
     # dL/dW = -2 W S with S = sum_{n,c} dz[n,c] (x_n - c_best)(x_n - c_best)^T,
     # expanded over the flat centroids: D holds dz[n,c] at column c*K + best
     flat = model.centroids.reshape(c * k, d)
@@ -335,7 +305,7 @@ def ncm_loss(model: NcmModel, inputs: np.ndarray, labels: np.ndarray):
     dmat[np.arange(n)[:, None], np.arange(c) * k + best] = dz
     xdc = x.T @ dmat @ flat
     s = (x.T * dmat.sum(axis=1)) @ x - xdc - xdc.T + (flat.T * dmat.sum(axis=0)) @ flat
-    return float(losses.mean()), -2.0 * model.w @ s
+    return loss, -2.0 * model.w @ s
 
 
 def ncm_classify(model: NcmModel, inputs: np.ndarray) -> np.ndarray:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import List, Tuple
 
 import numpy as np
 
@@ -17,9 +16,10 @@ from .index import ClusterIndex
 @dataclass
 class Neighbourhood:
     """One sampled minibatch: a seed cluster plus nearest impostor clusters,
-    D examples each. ``example_clusters`` maps batch rows to cluster slots."""
+    D examples each. ``clusters`` holds the M index rows, seed first, and
+    ``example_clusters`` maps batch rows to positions in it."""
 
-    clusters: List[Tuple[int, int]]
+    clusters: np.ndarray  # (M,) rows of the index
     cluster_classes: np.ndarray
     example_indices: np.ndarray  # (M*D,) indices into the dataset
     example_clusters: np.ndarray  # (M*D,) values in [0, M)
@@ -52,28 +52,23 @@ def sample_neighbourhood(
     rng = np.random.default_rng(rng)
     probs = seed_distribution(index)
     seed_row = int(rng.choice(index.cluster_count, p=probs))
-    seed_cluster = index.clusters[seed_row]
-    impostors, truncated = index.nearest_impostor_clusters(seed_cluster, m - 1)
-    clusters = [seed_cluster] + impostors
+    impostors, truncated = index.nearest_impostor_clusters(seed_row, m - 1)
+    rows = np.concatenate([[seed_row], impostors])
 
     fallback = False
-    example_indices, example_clusters = [], []
-    for slot, cluster in enumerate(clusters):
-        members = index.members(cluster)
-        if len(members) >= d:
-            chosen = rng.choice(members, size=d, replace=False)
-        else:
-            chosen = rng.choice(members, size=d, replace=True)
-            fallback = True
-        example_indices.extend(int(i) for i in chosen)
-        example_clusters.extend([slot] * d)
+    chosen = []
+    for row in rows:
+        members = index.members[row]
+        short = len(members) < d
+        fallback |= short
+        chosen.append(rng.choice(members, size=d, replace=short))
 
-    example_indices = np.asarray(example_indices)
+    example_indices = np.concatenate(chosen)
     return Neighbourhood(
-        clusters=clusters,
-        cluster_classes=np.asarray([index.cluster_classes[index.cluster_row(cl)] for cl in clusters]),
+        clusters=rows,
+        cluster_classes=index.cluster_classes[rows],
         example_indices=example_indices,
-        example_clusters=np.asarray(example_clusters),
+        example_clusters=np.repeat(np.arange(len(rows)), d),
         inputs=dataset.inputs[example_indices],
         replacement_fallback=fallback,
         truncated=truncated,

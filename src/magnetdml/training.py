@@ -91,6 +91,15 @@ def train(
     if resume_state is not None:
         if resume_state["objective"] != config.objective:
             raise ConfigurationError(f"the saved state is for {resume_state['objective']!r}")
+        if resume_state["iteration"] > config.iterations:
+            raise ConfigurationError(
+                f"the saved state is at iteration {resume_state['iteration']}, past the "
+                f"config's iterations = {config.iterations}")
+        saved_dims = resume_state["model"].layer_dims
+        if saved_dims != step.model.layer_dims:
+            raise ConfigurationError(
+                f"the saved model has layers {saved_dims}, the config's model "
+                f"has {step.model.layer_dims}")
         step.resume(resume_state)
         rng.bit_generator.state = resume_state["rng_state"]
         start, metrics = resume_state["iteration"], resume_state["metrics"]

@@ -70,8 +70,7 @@ class TestBuildIndex:
         # (residuals 0); pooled over all N=4 points: 2 / (4 - 1) = 2/3
         ds = Dataset(np.array([[0.0], [2.0], [5.0], [5.0]]), np.array([0, 0, 1, 1]))
         idx = build_index(identity_model(1), ds, k=1, seed=0)
-        row = idx.cluster_row((0, 0))
-        assert np.isclose(idx.centers[row, 0], 1.0)
+        assert np.isclose(idx.centers[0, 0], 1.0)  # class 0, cluster 0: row 0·k + 0
         assert np.isclose(idx.variance, 2.0 / 3.0)
 
     def test_zero_variance_floored(self):
@@ -84,8 +83,7 @@ class TestBuildIndex:
         idx = build_index(model, small_dataset, k=1, seed=0)
         for c in range(small_dataset.class_count):
             members = small_dataset.inputs[small_dataset.labels == c]
-            row = idx.cluster_row((c, 0))
-            assert np.allclose(idx.centers[row], members.mean(axis=0))
+            assert np.allclose(idx.centers[c], members.mean(axis=0))  # row c·k + 0
 
     def test_deterministic(self, small_dataset):
         model = EmbeddingModel([3, 4], seed=1)
@@ -93,6 +91,17 @@ class TestBuildIndex:
         b = build_index(model, small_dataset, k=2, seed=9)
         assert (a.centers == b.centers).all()
         assert (a.example_cluster == b.example_cluster).all()
+
+    def test_rows_grouped_by_class(self, small_dataset):
+        # cluster j of class c is row c·k + j, so every example's row
+        # divided by k gives back its label
+        k = 2
+        idx = build_index(EmbeddingModel([3, 4], seed=1), small_dataset, k=k, seed=9)
+        classes = np.repeat(np.arange(small_dataset.class_count), k)
+        np.testing.assert_array_equal(idx.cluster_classes, classes)
+        np.testing.assert_array_equal(idx.example_cluster // k, small_dataset.labels)
+        for row, members in enumerate(idx.members):
+            np.testing.assert_array_equal(members, np.flatnonzero(idx.example_cluster == row))
 
     def test_k_exceeds_class_size(self):
         ds = Dataset(np.array([[0.0], [1.0], [2.0]]), np.array([0, 0, 1]))
@@ -122,20 +131,20 @@ class TestLossCache:
         idx = self.make_index()
         idx.update_loss_cache([(0, 1.0), (1, 3.0)])
         means = idx.cluster_mean_losses()
-        assert np.isclose(means[idx.cluster_row((0, 0))], 2.0)
+        assert np.isclose(means[0], 2.0)
 
     def test_uncached_fallback_global_mean_then_one(self):
         idx = self.make_index()
         assert (idx.cluster_mean_losses() == 1.0).all()
         idx.update_loss_cache([(0, 4.0)])
         means = idx.cluster_mean_losses()
-        assert np.isclose(means[idx.cluster_row((1, 0))], 4.0)  # global mean
+        assert np.isclose(means[1], 4.0)  # global mean
 
     def test_overwrite_semantics(self):
         idx = self.make_index()
         idx.update_loss_cache([(0, 1.0), (1, 3.0)])
         idx.update_loss_cache([(0, 5.0)])
-        assert np.isclose(idx.cluster_mean_losses()[idx.cluster_row((0, 0))], 4.0)
+        assert np.isclose(idx.cluster_mean_losses()[0], 4.0)
 
 
 class TestNearestImpostors:
@@ -147,29 +156,26 @@ class TestNearestImpostors:
 
     def test_nearest_ranking(self):
         idx = self.make_index()
-        clusters, truncated = idx.nearest_impostor_clusters((0, 0), 1)
-        assert clusters == [(1, 0)]
+        rows, truncated = idx.nearest_impostor_clusters(0, 1)
+        assert rows.tolist() == [1]
         assert not truncated
 
     def test_truncation_flag(self):
         idx = self.make_index()
-        clusters, truncated = idx.nearest_impostor_clusters((0, 0), 10)
-        assert len(clusters) == 2 and truncated
+        rows, truncated = idx.nearest_impostor_clusters(0, 10)
+        assert len(rows) == 2 and truncated
 
     def test_same_class_never_returned(self):
         ds = Dataset(np.array([[0.0], [0.5], [9.0], [9.5]]), np.array([0, 0, 1, 1]))
         idx = build_index(identity_model(1), ds, k=2, seed=0)
-        clusters, _ = idx.nearest_impostor_clusters((0, 0), 10)
-        assert all(c != 0 for c, _ in clusters)
+        rows, _ = idx.nearest_impostor_clusters(0, 10)
+        assert (idx.cluster_classes[rows] != 0).all()
 
     def test_distances_non_decreasing(self):
         rng = np.random.default_rng(3)
         ds = Dataset(rng.standard_normal((40, 2)), np.repeat(np.arange(4), 10))
         idx = build_index(identity_model(2), ds, k=2, seed=0)
-        seed_cluster = (0, 0)
-        clusters, _ = idx.nearest_impostor_clusters(seed_cluster, 6)
-        seed_center = idx.centers[idx.cluster_row(seed_cluster)]
-        dists = [np.linalg.norm(idx.centers[idx.cluster_row(c)] - seed_center)
-                 for c in clusters]
+        rows, _ = idx.nearest_impostor_clusters(0, 6)
+        dists = np.linalg.norm(idx.centers[rows] - idx.centers[0], axis=1)
         assert all(a <= b + 1e-12 for a, b in zip(dists, dists[1:]))
 

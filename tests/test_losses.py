@@ -156,21 +156,20 @@ class TestTriplet:
     def test_gradients_finite_differences(self):
         rng = np.random.default_rng(5)
         s, p, n = rng.standard_normal((3, 5, 3))
-        for normalize in (False, True):
-            res = triplet_loss(s, p, n, alpha=0.4, normalize=normalize)
-            h = 1e-6
-            for arr, grads in ((s, res.seed_grads), (p, res.positive_grads), (n, res.negative_grads)):
-                ap = arr.copy()
-                ap[0, 0] += h
-                am = arr.copy()
-                am[0, 0] -= h
-                parts_p = [ap if x is arr else x for x in (s, p, n)]
-                parts_m = [am if x is arr else x for x in (s, p, n)]
-                fd = (
-                    triplet_loss(*parts_p, alpha=0.4, normalize=normalize).mean_loss
-                    - triplet_loss(*parts_m, alpha=0.4, normalize=normalize).mean_loss
-                ) / (2 * h)
-                assert abs(fd - grads[0, 0]) < 1e-5 * max(1.0, abs(fd))
+        res = triplet_loss(s, p, n, alpha=0.4)
+        h = 1e-6
+        for arr, grads in ((s, res.seed_grads), (p, res.positive_grads), (n, res.negative_grads)):
+            ap = arr.copy()
+            ap[0, 0] += h
+            am = arr.copy()
+            am[0, 0] -= h
+            parts_p = [ap if x is arr else x for x in (s, p, n)]
+            parts_m = [am if x is arr else x for x in (s, p, n)]
+            fd = (
+                triplet_loss(*parts_p, alpha=0.4).mean_loss
+                - triplet_loss(*parts_m, alpha=0.4).mean_loss
+            ) / (2 * h)
+            assert abs(fd - grads[0, 0]) < 1e-5 * max(1.0, abs(fd))
 
 
 class TestMagnetAsTriplet:

@@ -3,17 +3,19 @@
 Each case trains 60 iterations with a refresh every 20, once without a stop
 and once halted at 40 (a refresh boundary) or 50 (inside a refresh window)
 and resumed to 60. The resumed metrics.csv and weights must equal those of
-the uninterrupted run byte for byte.
+the uninterrupted run byte for byte. A state the config cannot continue
+(past its iterations, or a model of other layer sizes) is rejected.
 """
 
 import dataclasses
 import json
+import re
 
 import pytest
 
 from magnetdml import ExperimentConfig
 from magnetdml.cli import main
-from magnetdml.errors import ParseError
+from magnetdml.errors import ConfigurationError, ParseError
 from magnetdml.training import load_training_state, train, write_metrics_csv
 
 from test_metrics_pin import COMMON, CONFIGS, pin_data
@@ -55,3 +57,24 @@ def test_missing_key_rejected(tmp_path):
     path.write_text(json.dumps(state))
     with pytest.raises(ParseError, match="refresh"):
         load_training_state(tmp_path)
+
+
+def test_state_past_the_configured_iterations_rejected(tmp_path):
+    config = ExperimentConfig(**{**COMMON, **CONFIGS["nca"], "iterations": 60})
+    run(config, tmp_path / "full")
+    state = load_training_state(tmp_path / "full")
+    short = dataclasses.replace(config, iterations=40)
+    with pytest.raises(ConfigurationError, match=r"iteration 60.*iterations = 40"):
+        train(short, *pin_data(), resume_state=state, checkpoint_dir=tmp_path / "resumed")
+    assert not (tmp_path / "resumed").exists()
+
+
+@pytest.mark.parametrize("objective", ["nca", "ncm"])
+def test_model_other_than_the_configured_one_rejected(objective, tmp_path):
+    config = ExperimentConfig(**{**COMMON, **CONFIGS[objective], "iterations": 20})
+    run(config, tmp_path / "half")
+    state = load_training_state(tmp_path / "half")
+    saved, other = config.layer_dims, [4, 5, 3] if objective == "nca" else [4, 5]
+    resumed = dataclasses.replace(config, iterations=40, layer_dims=other)
+    with pytest.raises(ConfigurationError, match=re.escape(f"{saved}, the config's model has {other}")):
+        train(resumed, *pin_data(), resume_state=state)

@@ -35,15 +35,15 @@ class TestSeedDistribution:
         idx, _ = two_cluster_index()
         idx.update_loss_cache([(0, 1.0), (3, 3.0)])
         p = seed_distribution(idx)
-        assert np.isclose(p[idx.cluster_row((0, 0))], 0.25)
-        assert np.isclose(p[idx.cluster_row((1, 0))], 0.75)
+        assert np.isclose(p[0], 0.25)  # row c·k + j of class c, cluster j
+        assert np.isclose(p[1], 0.75)
 
     def test_zero_mass_cluster(self):
         idx, _ = two_cluster_index()
         idx.update_loss_cache([(0, 0.0), (3, 2.0)])
         p = seed_distribution(idx)
-        assert p[idx.cluster_row((0, 0))] == 0.0
-        assert p[idx.cluster_row((1, 0))] == 1.0
+        assert p[0] == 0.0
+        assert p[1] == 1.0
 
     def test_all_zero_falls_back_to_uniform(self):
         idx, _ = two_cluster_index()
@@ -93,7 +93,7 @@ class TestSampleNeighbourhood:
         assert all(c != seed_class for c in nb.cluster_classes[1:])
         # every example belongs to its listed cluster per the index
         for row, slot in zip(nb.example_indices, nb.example_clusters):
-            assert idx.clusters[idx.example_cluster[row]] == nb.clusters[slot]
+            assert idx.example_cluster[row] == nb.clusters[slot]
 
     def test_deterministic_given_seed(self):
         idx, ds = two_cluster_index()
@@ -114,10 +114,10 @@ class TestSampleNeighbourhood:
         rng = np.random.default_rng(11)
         draws = 20_000
         hits = 0
-        target_row = idx.cluster_row((1, 0))
+        target_row = 1  # class 1, cluster 0
         for _ in range(draws):
             nb = sample_neighbourhood(idx, ds, m=2, d=1, rng=rng)
-            if nb.clusters[0] == (1, 0):
+            if nb.clusters[0] == target_row:
                 hits += 1
         freq = hits / draws
         se = np.sqrt(p[target_row] * (1 - p[target_row]) / draws)
