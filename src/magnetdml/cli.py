@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import ExperimentConfig, parse_config
+from .config import OBJECTIVES, ExperimentConfig, parse_config
 from .data import MixtureSpec, generate_mixture, load_dataset, save_dataset
 from .errors import ConfigurationError, ContractError, ParseError
 from .evaluate import EvalContext, classify_batch, error_rate, reference_sigma2
@@ -46,7 +46,7 @@ def main(argv=None) -> int:
     p.add_argument("outdir")
     p.add_argument("--train-dataset", default=None,
                    help="reference dataset (defaults to the evaluated dataset)")
-    p.add_argument("--objective", default="magnet")
+    p.add_argument("--objective", default="magnet", choices=OBJECTIVES)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--l", type=int, default=128)
     p.add_argument("--sigma2", type=float, default=None,
@@ -81,12 +81,7 @@ def _dispatch(args) -> int:
         config = parse_config(args.config)
         outdir = Path(args.outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        resume_state = None
-        if args.resume is not None:
-            from .training import load_training_state
-
-            resume_state = load_training_state(args.resume)
-        result = train(config, resume_state=resume_state, checkpoint_dir=outdir)
+        result = train(config, resume_from=args.resume, checkpoint_dir=outdir)
         # train() has saved checkpoint.bin and training_state.json to outdir
         write_metrics_csv(result.metrics, outdir / "metrics.csv")
         report = build_report(config, result)

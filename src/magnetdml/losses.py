@@ -251,11 +251,7 @@ class NcmModel:
 
     @classmethod
     def fit_means(cls, inputs, labels, out_dim: int, seed: int = 0) -> "NcmModel":
-        inputs = np.asarray(inputs, dtype=np.float64)
-        labels = np.asarray(labels)
-        c = int(labels.max()) + 1
-        means = np.stack([inputs[labels == y].mean(axis=0) for y in range(c)])
-        return cls(w=_init_linear(out_dim, inputs.shape[1], seed), centroids=means[:, None, :])
+        return cls.fit_centroids(inputs, labels, out_dim, k=1, seed=seed)
 
     @classmethod
     def fit_centroids(cls, inputs, labels, out_dim: int, k: int, seed: int = 0) -> "NcmModel":
@@ -265,6 +261,8 @@ class NcmModel:
         cents = []
         for y in range(c):
             members = inputs[labels == y]
+            if not len(members):
+                raise ConfigurationError(f"class {y} has no examples")
             centers, _, _ = kmeans(members, min(k, len(members)), seed=seed + y)
             if len(centers) < k:  # pad degenerate classes by repeating a centroid
                 centers = np.vstack([centers, np.tile(centers[-1], (k - len(centers), 1))])

@@ -9,18 +9,21 @@ fresh model and its own state; ``refresh(iteration, snapshot, seed)`` rebuilds
 what derives from the snapshot (magnet index, triplet mining representations);
 ``step(iteration, rng)`` runs one sample/forward/loss/backward/SGD iteration;
 ``predict(sigma2, iteration)`` classifies the test split for the eval rows and
-the report; ``sigma2()`` is the report variance; ``state()``/``resume(state)``
-carry its own state through ``training_state.json``.
+the report; ``sigma2()`` is the report variance; ``state()`` adds its own keys
+to ``training_state.json`` and ``resume(raw)`` copies them into its own arrays.
 
-Resume contract: any state the loop writes resumes byte for byte. A state
-saved at iteration t holds the model and velocities, the rng before any draw
-of iteration t and the metrics; off a refresh boundary it also holds the
-snapshot parameters and seed of the refresh in force, which resume rebuilds.
+Resume contract: any state the loop writes resumes byte for byte, under the
+config it was saved with; only ``iterations`` may differ, and not fall below
+the saved iteration. A state saved at iteration t holds the config, the model
+and velocities, the rng before any draw of iteration t and the metrics; off a
+refresh boundary it also holds the snapshot parameters and seed of the refresh
+in force, which resume rebuilds. ``train(resume_from=dir)`` restores it in place.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -73,37 +76,22 @@ def train(
     config: ExperimentConfig,
     train_data: Optional[Dataset] = None,
     test_data: Optional[Dataset] = None,
-    resume_state: Optional[dict] = None,
+    resume_from: Optional[Path] = None,
     checkpoint_dir: Optional[Path] = None,
 ) -> TrainResult:
     """Run the configured objective; deterministic given config and seed.
 
     ``checkpoint_dir`` enables resumable state dumps at refresh boundaries
-    and at the end; ``resume_state`` (from :func:`load_training_state`)
+    and at the end; ``resume_from`` (a directory holding such a dump)
     continues an interrupted run with an identical seed stream.
     """
     if train_data is None or test_data is None:
         train_data, test_data = resolve_datasets(config)
     step = _STEPS[config.objective](config, train_data, test_data)
     rng = np.random.default_rng(config.seed)
-    metrics: List[MetricsRow] = []
-    start, refreshed = 0, None
-    if resume_state is not None:
-        if resume_state["objective"] != config.objective:
-            raise ConfigurationError(f"the saved state is for {resume_state['objective']!r}")
-        if resume_state["iteration"] > config.iterations:
-            raise ConfigurationError(
-                f"the saved state is at iteration {resume_state['iteration']}, past the "
-                f"config's iterations = {config.iterations}")
-        saved_dims = resume_state["model"].layer_dims
-        if saved_dims != step.model.layer_dims:
-            raise ConfigurationError(
-                f"the saved model has layers {saved_dims}, the config's model "
-                f"has {step.model.layer_dims}")
-        step.resume(resume_state)
-        rng.bit_generator.state = resume_state["rng_state"]
-        start, metrics = resume_state["iteration"], resume_state["metrics"]
-        refreshed = resume_state["refresh"]
+    start, metrics, refreshed = 0, [], None
+    if resume_from is not None:
+        start, metrics, refreshed = _load_training_state(resume_from, step, rng)
         if refreshed is not None:
             step.refresh(*refreshed)
 
@@ -156,8 +144,8 @@ class _Step:
     def state(self) -> dict:
         return {}
 
-    def resume(self, state: dict):
-        self.model = state["model"]
+    def resume(self, raw: dict):
+        pass
 
 
 class _MagnetStep(_Step):
@@ -204,9 +192,15 @@ class _MagnetStep(_Step):
         cache = [None if np.isnan(v) else float(v) for v in self.loss_cache]
         return {"sigma2": self.sigma.value, "loss_cache": cache}
 
-    def resume(self, state):
-        super().resume(state)
-        self.sigma.value, self.loss_cache = state["sigma2"], state["loss_cache"]
+    def resume(self, raw):
+        cache = np.asarray([np.nan if v is None else v for v in raw["loss_cache"]],
+                           dtype=np.float64)
+        if cache.shape != self.loss_cache.shape:
+            raise ConfigurationError(
+                f"the saved loss cache has {len(cache)} entries, the training set "
+                f"has {len(self.loss_cache)} examples")
+        self.loss_cache[...] = cache
+        self.sigma.value = None if raw["sigma2"] is None else float(raw["sigma2"])
 
 
 class _TripletStep(_Step):
@@ -273,9 +267,9 @@ class _SoftmaxStep(_Step):
     def state(self) -> dict:
         return {"head": {k: v.tolist() for k, v in vars(self.head).items()}}
 
-    def resume(self, state):
-        super().resume(state)
-        self.head = state["head"]
+    def resume(self, raw):
+        _copy_saved(list(vars(self.head).values()), [raw["head"][k] for k in vars(self.head)],
+                    "head arrays")
 
 
 class _NcmStep(_Step):
@@ -286,10 +280,8 @@ class _NcmStep(_Step):
 
     def __init__(self, config, train_data, test_data):
         x, y, out_dim = train_data.inputs, train_data.labels, config.layer_dims[-1]
-        if config.objective == "ncmc":
-            self.ncm = L.NcmModel.fit_centroids(x, y, out_dim, k=config.ncm_k, seed=config.seed)
-        else:
-            self.ncm = L.NcmModel.fit_means(x, y, out_dim, seed=config.seed)
+        k = config.ncm_k if config.objective == "ncmc" else 1
+        self.ncm = L.NcmModel.fit_centroids(x, y, out_dim, k=k, seed=config.seed)
         model = EmbeddingModel([train_data.dim, out_dim], seed=0)
         model.weights[0] = self.ncm.w
         super().__init__(config, train_data, test_data, model)
@@ -301,10 +293,6 @@ class _NcmStep(_Step):
 
     def predict(self, sigma2, iteration) -> np.ndarray:
         return L.ncm_classify(self.ncm, self.test_data.inputs)
-
-    def resume(self, state):
-        super().resume(state)
-        self.ncm.w = self.model.weights[0]
 
 
 _STEPS = {
@@ -404,7 +392,7 @@ def _save_training_state(outdir, step, rng, iteration, metrics, refreshed):
     model = step.model
     checkpoint = model.to_bytes()
     state = {
-        "objective": step.config.objective,
+        "config": dataclasses.asdict(step.config),
         "iteration": iteration,
         "rng_state": rng.bit_generator.state,
         "metrics": [[r.iteration, r.train_loss, r.val_error] for r in metrics],
@@ -414,7 +402,6 @@ def _save_training_state(outdir, step, rng, iteration, metrics, refreshed):
         "refresh": None if refreshed is None or iteration % step.config.refresh_interval == 0
         else {"iteration": refreshed[0], "params": refreshed[1].get_flat_params().tolist(),
               "seed": refreshed[2]},
-        "sigma2": None, "loss_cache": None, "head": None,
         **step.state(),
         "checkpoint_sha256": hashlib.sha256(checkpoint).hexdigest(),
     }
@@ -425,41 +412,55 @@ def _save_training_state(outdir, step, rng, iteration, metrics, refreshed):
         os.replace(tmp, outdir / name)
 
 
-def load_training_state(outdir) -> dict:
-    """Read a state written by :func:`_save_training_state`. A malformed file,
-    a missing key, or a checkpoint other than the one the state was saved
-    with, is a ``ParseError``."""
-    outdir = Path(outdir)
+def _load_training_state(outdir, step, rng) -> Tuple[int, List[MetricsRow], Optional[tuple]]:
+    """Restore a state written by :func:`_save_training_state` into ``step``
+    and ``rng`` in place; return ``(iteration, metrics, refresh)``. A malformed
+    file, a missing key or a mismatched checkpoint is a ``ParseError``; a state
+    the config cannot continue, a ``ConfigurationError`` naming both values."""
+    outdir, config, model = Path(outdir), step.config, step.model
     try:
-        model = EmbeddingModel.load(outdir / "checkpoint.bin")
+        saved = EmbeddingModel.load(outdir / "checkpoint.bin")
         raw = json.loads((outdir / "training_state.json").read_text())
         digest = hashlib.sha256((outdir / "checkpoint.bin").read_bytes()).hexdigest()
         if raw["checkpoint_sha256"] != digest:
             raise ValueError("checkpoint.bin is not the checkpoint the state was saved with")
-        w_vel, b_vel = ([np.asarray(v, dtype=np.float64) for v in raw[key]]
-                        for key in ("w_velocity", "b_velocity"))
-        if [v.shape for v in w_vel + b_vel] != [p.shape for p in model.weights + model.biases]:
-            raise ValueError("velocities do not match the checkpoint")
-        model.w_velocity, model.b_velocity = w_vel, b_vel
-        np.random.default_rng().bit_generator.state = raw["rng_state"]  # validates it
-        refresh, head, cache = raw["refresh"], raw["head"], raw["loss_cache"]
+        iteration = int(raw["iteration"])
+        if iteration > config.iterations:
+            raise ConfigurationError(
+                f"the saved state is at iteration {iteration}, past the "
+                f"config's iterations = {config.iterations}")
+        if saved.layer_dims != model.layer_dims:
+            raise ConfigurationError(
+                f"the saved model has layers {saved.layer_dims}, the config's model "
+                f"has {model.layer_dims}")
+        for name, value in dataclasses.asdict(config).items():
+            if name != "iterations" and raw["config"][name] != value:
+                raise ConfigurationError(
+                    f"the saved state has {name} = {raw['config'][name]!r}, "
+                    f"the config has {name} = {value!r}")
+        model.set_flat_params(saved.get_flat_params())
+        _copy_saved(model.w_velocity + model.b_velocity,
+                    raw["w_velocity"] + raw["b_velocity"], "velocities")
+        rng.bit_generator.state = raw["rng_state"]
+        step.resume(raw)
+        refresh = raw["refresh"]
         if refresh is not None:
             snapshot = model.snapshot()
             snapshot.set_flat_params(np.asarray(refresh["params"], dtype=np.float64))
             refresh = (int(refresh["iteration"]), snapshot, refresh["seed"])
-        return {
-            "objective": raw["objective"],
-            "model": model,
-            "iteration": int(raw["iteration"]),
-            "rng_state": raw["rng_state"],
-            "metrics": [MetricsRow(int(it), float(loss), None if err is None else float(err))
-                        for it, loss, err in raw["metrics"]],
-            "refresh": refresh,
-            "sigma2": None if raw["sigma2"] is None else float(raw["sigma2"]),
-            "loss_cache": None if cache is None else np.asarray(
-                [np.nan if v is None else v for v in cache], dtype=np.float64),
-            "head": None if head is None else L.LinearHead(
-                **{k: np.asarray(v, dtype=np.float64) for k, v in head.items()}),
-        }
+        metrics = [MetricsRow(int(it), float(loss), None if err is None else float(err))
+                   for it, loss, err in raw["metrics"]]
+        return iteration, metrics, refresh
+    except ConfigurationError:
+        raise
     except (KeyError, TypeError, ValueError, ContractError) as exc:
         raise ParseError(f"{outdir}: bad training state: {exc}") from exc
+
+
+def _copy_saved(arrays, saved, what):
+    """Copy saved values into ``arrays`` in place; any other shape is a ValueError."""
+    saved = [np.asarray(v, dtype=np.float64) for v in saved]
+    if [v.shape for v in saved] != [a.shape for a in arrays]:
+        raise ValueError(f"the saved {what} do not match the model")
+    for a, v in zip(arrays, saved):
+        a[...] = v

@@ -199,6 +199,21 @@ class TestTrain:
         assert main(["train", str(config), str(tmp_path / "res"), "--resume", str(outdir)]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_resume_from_state_with_misshapen_head_errors(self, tmp_path, capsys):
+        # used to escape main as a raw numpy ValueError from the first step
+        config = write_config(tmp_path, objective="softmax", iterations=20)
+        outdir = tmp_path / "out"
+        assert main(["train", str(config), str(outdir)]) == 0
+        path = outdir / "training_state.json"
+        state = json.loads(path.read_text())
+        for key in ("w", "w_velocity"):
+            state["head"][key] = [row[:-1] for row in state["head"][key]]
+        path.write_text(json.dumps(state))
+        capsys.readouterr()
+        assert main(["train", str(config), str(tmp_path / "res"), "--resume", str(outdir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "head" in err
+
     def test_bad_config_errors(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("objective = gravity\n")
@@ -240,6 +255,21 @@ class TestEval:
         assert report["error_rate"] < 0.2
         assert report["sigma2"] > 0
 
+
+    def test_unknown_objective_rejected(self, tmp_path, capsys):
+        # any value but magnet used to evaluate soft kNN and exit 0
+        config = write_config(tmp_path, iterations=20)
+        outdir = tmp_path / "out"
+        main(["train", str(config), str(outdir)])
+        data = tmp_path / "data.csv"
+        main(["gen-data", str(write_spec(tmp_path)), str(data)])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", str(outdir / "checkpoint.bin"), str(data), str(tmp_path / "eval"),
+                  "--objective", "magent"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'magent'" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize("cut", [10, 20, 100])
     def test_truncated_checkpoint_errors(self, tmp_path, capsys, cut):

@@ -303,6 +303,12 @@ class TestNcm:
         m = NcmModel.fit_means(x, y, out_dim=1, seed=0)
         assert np.allclose(m.centroids[:, 0, 0], [1.0, 11.0])
 
+    def test_class_without_examples_rejected(self):
+        # label 1 has no examples; its mean used to be NaN
+        x, y = np.array([[0.0], [2.0], [10.0]]), np.array([0, 0, 2])
+        with pytest.raises(ConfigurationError, match="class 1 has no examples"):
+            NcmModel.fit_means(x, y, out_dim=1, seed=0)
+
 
 class TestSoftmaxXent:
     def test_uniform_logits(self):
