@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import OBJECTIVES, ExperimentConfig, parse_config
+from .config import ExperimentConfig, parse_config
 from .data import MixtureSpec, generate_mixture, load_dataset, save_dataset
 from .errors import ConfigurationError, ContractError, ParseError
 from .evaluate import EvalContext, classify_batch, error_rate, reference_sigma2
@@ -23,6 +23,9 @@ from .gradcheck import check_all_objectives
 from .index import build_index
 from .model import EmbeddingModel
 from .training import bench, build_report, train, write_metrics_csv
+
+# the objectives a bare checkpoint classifies for
+EVAL_OBJECTIVES = ("magnet", "triplet", "nca")
 
 
 def main(argv=None) -> int:
@@ -46,7 +49,10 @@ def main(argv=None) -> int:
     p.add_argument("outdir")
     p.add_argument("--train-dataset", default=None,
                    help="reference dataset (defaults to the evaluated dataset)")
-    p.add_argument("--objective", default="magnet", choices=OBJECTIVES)
+    p.add_argument("--objective", default="magnet", choices=EVAL_OBJECTIVES,
+                   help="magnet: nearest cluster over a K-means index (kNC); triplet, "
+                        "nca: soft kNN. A checkpoint holds no NCM centroids or softmax "
+                        "head, so ncm, ncmc and softmax cannot be evaluated from one")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--l", type=int, default=128)
     p.add_argument("--sigma2", type=float, default=None,

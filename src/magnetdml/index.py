@@ -8,7 +8,8 @@ sampling, and the global variance of representations about their centers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -34,10 +35,11 @@ def kmeans(points: np.ndarray, k: int, seed: int, history=None):
         raise ConfigurationError(f"k={k} must lie in [1, {n}]")
     rng = np.random.default_rng(seed)
     centers = _kmeanspp_init(points, k, rng)
+    points_sq = (points * points).sum(1)
 
     assignments = None
     for _ in range(KMEANS_MAX_ITERS):
-        d2 = sqdist(points, centers)
+        d2 = sqdist(points, centers, points_sq)
         new_assignments = d2.argmin(axis=1)
         if history is not None:
             history.append(float(d2[np.arange(n), new_assignments].sum()))
@@ -52,7 +54,9 @@ def kmeans(points: np.ndarray, k: int, seed: int, history=None):
                 resid = points - centers[assignments]
                 worst = np.einsum("ij,ij->i", resid, resid).argmax()
                 centers[j] = points[worst]
-    d2 = sqdist(points, centers)
+    else:
+        # out of iterations: the centers moved after the last assignment step
+        d2 = sqdist(points, centers, points_sq)
     assignments = d2.argmin(axis=1)
     objective = float(d2[np.arange(n), assignments].sum())
     return centers, assignments, objective
@@ -75,11 +79,12 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centers
 
 
-def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the rows of a and b, clamped at 0."""
-    return np.maximum(
-        (a * a).sum(1)[:, None] + (b * b).sum(1)[None, :] - 2.0 * a @ b.T, 0.0
-    )
+def sqdist(a: np.ndarray, b: np.ndarray, a_sq: Optional[np.ndarray] = None) -> np.ndarray:
+    """Squared Euclidean distances between the rows of a and b, clamped at 0.
+    ``a_sq``, when given, is ``(a * a).sum(1)`` computed by the caller."""
+    if a_sq is None:
+        a_sq = (a * a).sum(1)
+    return np.maximum(a_sq[:, None] + (b * b).sum(1)[None, :] - 2.0 * a @ b.T, 0.0)
 
 
 @dataclass
@@ -90,40 +95,58 @@ class ClusterIndex:
     row ``c·k + j``, and ``cluster_classes[row]`` is its class.
     ``example_cluster`` maps example index to a row, and ``members[row]``
     lists the examples of that cluster. ``loss_cache`` holds NaN until an
-    example is first visited.
+    example is first visited; a cache passed in is shared, not copied, and
+    from then on is written only through :meth:`update_loss_cache`, which
+    keeps the per-cluster means current.
+
+    Between two rebuilds the centers are fixed, so each cluster's impostor
+    order is computed once, on first use, and the two-class check once.
     """
 
     centers: np.ndarray
     cluster_classes: np.ndarray
     example_cluster: np.ndarray
     variance: float
-    loss_cache: np.ndarray = field(init=False)
+    loss_cache: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.loss_cache = np.full(len(self.example_cluster), np.nan)
+        if self.loss_cache is None:
+            self.loss_cache = np.full(len(self.example_cluster), np.nan)
         self.members = [
             np.flatnonzero(self.example_cluster == j) for j in range(self.cluster_count)
         ]
+        self.has_two_classes = len(np.unique(self.cluster_classes)) >= 2
+        self._means = np.empty(self.cluster_count)
+        self._uncached = np.ones(self.cluster_count, dtype=bool)
+        self._stale = np.ones(self.cluster_count, dtype=bool)
+        self._impostors = {}
 
     @property
     def cluster_count(self) -> int:
         return len(self.centers)
 
     def update_loss_cache(self, example_losses):
-        """Overwrite cached losses for the given (example index, loss) pairs."""
+        """Overwrite cached losses for the given (example index, loss) pairs
+        and mark their clusters' means stale."""
         for idx, loss in example_losses:
             self.loss_cache[idx] = loss
+            self._stale[self.example_cluster[idx]] = True
 
     def cluster_mean_losses(self) -> np.ndarray:
         """Mean cached loss per cluster; uncached clusters fall back to the
-        global mean cached loss, or 1.0 when nothing is cached anywhere."""
-        cached = self.loss_cache[~np.isnan(self.loss_cache)]
-        fallback = float(cached.mean()) if len(cached) else 1.0
-        means = np.empty(self.cluster_count)
-        for j, members in enumerate(self.members):
-            vals = self.loss_cache[members]
+        global mean cached loss, or 1.0 when nothing is cached anywhere.
+        Only the means of clusters written since the last call are recomputed."""
+        for row in np.flatnonzero(self._stale):
+            vals = self.loss_cache[self.members[row]]
             vals = vals[~np.isnan(vals)]
-            means[j] = vals.mean() if len(vals) else fallback
+            self._uncached[row] = not len(vals)
+            if len(vals):
+                self._means[row] = vals.mean()
+        self._stale[:] = False
+        means = self._means.copy()
+        if self._uncached.any():
+            cached = self.loss_cache[~np.isnan(self.loss_cache)]
+            means[self._uncached] = float(cached.mean()) if len(cached) else 1.0
         return means
 
     def nearest_impostor_clusters(self, row: int, count: int):
@@ -131,22 +154,29 @@ class ClusterIndex:
         center distance from cluster ``row``.
 
         Returns (int array of rows, truncated) where ``truncated`` is set
-        when fewer impostor clusters exist than requested.
+        when fewer impostor clusters exist than requested. The returned rows
+        are a read-only view of the cluster's memoised order.
         """
-        candidates = np.flatnonzero(self.cluster_classes != self.cluster_classes[row])
-        d2 = np.einsum(
-            "ij,ij->i", self.centers[candidates] - self.centers[row],
-            self.centers[candidates] - self.centers[row],
-        )
-        chosen = candidates[np.argsort(d2, kind="stable")][:count]
+        order = self._impostors.get(row)
+        if order is None:
+            candidates = np.flatnonzero(self.cluster_classes != self.cluster_classes[row])
+            d2 = np.einsum(
+                "ij,ij->i", self.centers[candidates] - self.centers[row],
+                self.centers[candidates] - self.centers[row],
+            )
+            order = self._impostors[row] = candidates[np.argsort(d2, kind="stable")]
+            order.flags.writeable = False
+        chosen = order[:count]
         return chosen, len(chosen) < count
 
 
-def build_index(model, dataset: Dataset, k: int = 1, seed: int = 0) -> ClusterIndex:
+def build_index(model, dataset: Dataset, k: int = 1, seed: int = 0,
+                loss_cache: Optional[np.ndarray] = None) -> ClusterIndex:
     """Forward all inputs against a frozen snapshot, then K-means per class.
 
-    The loss cache starts empty (all NaN). Variance uses the (N-1) divisor
-    and is floored at ``VARIANCE_FLOOR``.
+    The index shares ``loss_cache`` when one is given, else starts an empty
+    (all NaN) one. Variance uses the (N-1) divisor and is floored at
+    ``VARIANCE_FLOOR``.
     """
     reps = model.embed(dataset.inputs)
     centers = []
@@ -171,4 +201,5 @@ def build_index(model, dataset: Dataset, k: int = 1, seed: int = 0) -> ClusterIn
         cluster_classes=np.repeat(np.arange(dataset.class_count), k),
         example_cluster=example_cluster,
         variance=variance,
+        loss_cache=loss_cache,
     )

@@ -47,7 +47,7 @@ def sample_neighbourhood(
     than d members)."""
     if m < 2 or d < 1:
         raise ConfigurationError("need m >= 2 and d >= 1")
-    if len(np.unique(index.cluster_classes)) < 2:
+    if not index.has_two_classes:
         raise ConfigurationError("neighbourhood sampling needs at least two classes")
     rng = np.random.default_rng(rng)
     probs = seed_distribution(index)

@@ -22,10 +22,13 @@ in force, which resume rebuilds. ``train(resume_from=dir)`` restores it in place
 
 from __future__ import annotations
 
+import base64
+import binascii
 import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -159,9 +162,9 @@ class _MagnetStep(_Step):
         self.loss_cache = np.full(train_data.size, np.nan)
 
     def refresh(self, iteration, snapshot, seed):
-        self.index = build_index(snapshot, self.train_data, k=self.config.k, seed=seed)
         # shared, not copied: the cache carries over from index to index
-        self.index.loss_cache = self.loss_cache
+        self.index = build_index(snapshot, self.train_data, k=self.config.k, seed=seed,
+                                 loss_cache=self.loss_cache)
 
     def step(self, iteration, rng):
         nb = sample_neighbourhood(self.index, self.train_data, self.config.m, self.config.d, rng)
@@ -189,12 +192,10 @@ class _MagnetStep(_Step):
         return self._eval_index(-1).variance if self.sigma.value is None else self.sigma.value
 
     def state(self) -> dict:
-        cache = [None if np.isnan(v) else float(v) for v in self.loss_cache]
-        return {"sigma2": self.sigma.value, "loss_cache": cache}
+        return {"sigma2": self.sigma.value, "loss_cache": _pack(self.loss_cache)}
 
     def resume(self, raw):
-        cache = np.asarray([np.nan if v is None else v for v in raw["loss_cache"]],
-                           dtype=np.float64)
+        cache = _unpack(raw["loss_cache"], "loss_cache")
         if cache.shape != self.loss_cache.shape:
             raise ConfigurationError(
                 f"the saved loss cache has {len(cache)} entries, the training set "
@@ -395,9 +396,11 @@ def _save_training_state(outdir, step, rng, iteration, metrics, refreshed):
         "config": dataclasses.asdict(step.config),
         "iteration": iteration,
         "rng_state": rng.bit_generator.state,
-        "metrics": [[r.iteration, r.train_loss, r.val_error] for r in metrics],
-        "w_velocity": [v.tolist() for v in model.w_velocity],
-        "b_velocity": [v.tolist() for v in model.b_velocity],
+        "metrics": _pack(np.array(
+            [(r.iteration, r.train_loss, np.nan if r.val_error is None else r.val_error)
+             for r in metrics], dtype=np.float64).reshape(-1, 3)),
+        "w_velocity": [_pack(v) for v in model.w_velocity],
+        "b_velocity": [_pack(v) for v in model.b_velocity],
         # on a refresh boundary, resume refreshes afresh
         "refresh": None if refreshed is None or iteration % step.config.refresh_interval == 0
         else {"iteration": refreshed[0], "params": refreshed[1].get_flat_params().tolist(),
@@ -415,8 +418,10 @@ def _save_training_state(outdir, step, rng, iteration, metrics, refreshed):
 def _load_training_state(outdir, step, rng) -> Tuple[int, List[MetricsRow], Optional[tuple]]:
     """Restore a state written by :func:`_save_training_state` into ``step``
     and ``rng`` in place; return ``(iteration, metrics, refresh)``. A malformed
-    file, a missing key or a mismatched checkpoint is a ``ParseError``; a state
-    the config cannot continue, a ``ConfigurationError`` naming both values."""
+    file, a missing key, an array that is not a whole blob (a state in the
+    old list format included), a refresh record that no run writes or a
+    mismatched checkpoint is a ``ParseError``; a state the config cannot
+    continue, a ``ConfigurationError`` naming both values."""
     outdir, config, model = Path(outdir), step.config, step.model
     try:
         saved = EmbeddingModel.load(outdir / "checkpoint.bin")
@@ -439,22 +444,77 @@ def _load_training_state(outdir, step, rng) -> Tuple[int, List[MetricsRow], Opti
                     f"the saved state has {name} = {raw['config'][name]!r}, "
                     f"the config has {name} = {value!r}")
         model.set_flat_params(saved.get_flat_params())
-        _copy_saved(model.w_velocity + model.b_velocity,
-                    raw["w_velocity"] + raw["b_velocity"], "velocities")
+        velocities = [_unpack(v, "w_velocity") for v in raw["w_velocity"]]
+        velocities += [_unpack(v, "b_velocity") for v in raw["b_velocity"]]
+        _copy_saved(model.w_velocity + model.b_velocity, velocities, "velocities")
         rng.bit_generator.state = raw["rng_state"]
         step.resume(raw)
         refresh = raw["refresh"]
+        _check_refresh(refresh, iteration, config.refresh_interval, step.seeded)
         if refresh is not None:
+            params = np.asarray(refresh["params"], dtype=np.float64)
+            if params.shape != (model.get_flat_params().size,) or not np.isfinite(params).all():
+                raise ValueError("'refresh.params' is not a finite parameter vector of the model")
             snapshot = model.snapshot()
-            snapshot.set_flat_params(np.asarray(refresh["params"], dtype=np.float64))
-            refresh = (int(refresh["iteration"]), snapshot, refresh["seed"])
-        metrics = [MetricsRow(int(it), float(loss), None if err is None else float(err))
-                   for it, loss, err in raw["metrics"]]
+            snapshot.set_flat_params(params)
+            refresh = (refresh["iteration"], snapshot, refresh["seed"])
+        rows = _unpack(raw["metrics"], "metrics")
+        if rows.ndim != 2 or rows.shape[1] != 3:
+            raise ValueError(f"'metrics' has shape {rows.shape}, not (rows, 3)")
+        metrics = [MetricsRow(int(it), float(loss), None if np.isnan(err) else float(err))
+                   for it, loss, err in rows]
         return iteration, metrics, refresh
     except ConfigurationError:
         raise
     except (KeyError, TypeError, ValueError, ContractError) as exc:
         raise ParseError(f"{outdir}: bad training state: {exc}") from exc
+
+
+def _check_refresh(refresh, iteration, interval, seeded):
+    """A state off a refresh boundary records the refresh in force: the last
+    boundary below ``iteration``, with an index seed drawn as
+    ``rng.integers(2**31)`` for seeded objectives and none otherwise. Any
+    other record is a ValueError."""
+    if refresh is None:
+        if iteration % interval:
+            raise ValueError(f"'refresh' is null at iteration {iteration}, "
+                             f"off a multiple of refresh_interval = {interval}")
+        return
+    at = refresh["iteration"]
+    if type(at) is not int or at != iteration - iteration % interval:
+        raise ValueError(f"'refresh.iteration' = {at!r} is not the last multiple of "
+                         f"refresh_interval = {interval} at or below iteration {iteration}")
+    seed = refresh["seed"]
+    if seeded and not (type(seed) is int and 0 <= seed < 2**31):
+        raise ValueError(f"'refresh.seed' = {seed!r} is not an int in [0, 2**31)")
+    if not seeded and seed is not None:
+        raise ValueError(f"'refresh.seed' = {seed!r} is not null")
+
+
+def _pack(array) -> dict:
+    """An array as JSON: its shape and base64 of its little-endian float64 bytes."""
+    array = np.asarray(array, dtype="<f8")
+    return {"shape": list(array.shape), "f8": base64.b64encode(array.tobytes()).decode("ascii")}
+
+
+def _unpack(blob, key) -> np.ndarray:
+    """The array :func:`_pack` wrote; a blob of any other form is a ValueError."""
+    if isinstance(blob, list):
+        raise ValueError(f"{key!r} is a JSON list: the state is in the old list format, "
+                         "which this version no longer reads")
+    if not isinstance(blob, dict):
+        raise ValueError(f"{key!r} is not an array blob")
+    shape = blob["shape"]
+    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+        raise ValueError(f"{key!r} has a bad shape {shape!r}")
+    try:
+        data = base64.b64decode(blob["f8"], validate=True)
+    except binascii.Error as exc:
+        raise ValueError(f"{key!r} is not base64: {exc}") from exc
+    if len(data) != 8 * math.prod(shape):
+        raise ValueError(f"{key!r} holds {len(data)} bytes, its shape {shape} needs "
+                         f"{8 * math.prod(shape)}")
+    return np.frombuffer(data, dtype="<f8").reshape(shape)
 
 
 def _copy_saved(arrays, saved, what):

@@ -256,8 +256,10 @@ class TestEval:
         assert report["sigma2"] > 0
 
 
-    def test_unknown_objective_rejected(self, tmp_path, capsys):
-        # any value but magnet used to evaluate soft kNN and exit 0
+    @pytest.mark.parametrize("objective", ["magent", "ncm", "ncmc", "softmax"])
+    def test_unknown_objective_rejected(self, tmp_path, capsys, objective):
+        # magent used to evaluate soft kNN and exit 0; ncm, ncmc and softmax
+        # did too, since a checkpoint holds no centroids and no softmax head
         config = write_config(tmp_path, iterations=20)
         outdir = tmp_path / "out"
         main(["train", str(config), str(outdir)])
@@ -266,9 +268,9 @@ class TestEval:
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
             main(["eval", str(outdir / "checkpoint.bin"), str(data), str(tmp_path / "eval"),
-                  "--objective", "magent"])
+                  "--objective", objective])
         assert exc.value.code == 2
-        assert "invalid choice: 'magent'" in capsys.readouterr().err
+        assert f"invalid choice: '{objective}'" in capsys.readouterr().err
         assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize("cut", [10, 20, 100])

@@ -1,0 +1,184 @@
+"""The binary arrays of ``training_state.json`` and the checks on resume.
+
+The loss cache, the velocities and the metrics rows are stored as base64 of
+little-endian float64 with their shape; the refresh record stays JSON. A
+state in the old list format, a truncated or non-base64 blob and a refresh
+record that no run writes all fail to load with a ``ParseError``, which the
+command line reports as an ``error:`` line with exit status 1.
+"""
+
+import base64
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+
+from magnetdml import ExperimentConfig
+from magnetdml.cli import main
+from magnetdml.errors import ParseError
+from magnetdml.training import train
+
+from test_cli import write_config
+from test_metrics_pin import COMMON, CONFIGS, pin_data
+
+
+def saved_state(tmp_path, objective="magnet", iterations=50):
+    """Train to ``iterations`` with a refresh every 20 and return the config
+    and the state's path; at 50 the state records the refresh at 40."""
+    config = ExperimentConfig(**{**COMMON, **CONFIGS[objective],
+                                 "iterations": iterations, "refresh_interval": 20})
+    train(config, *pin_data(), checkpoint_dir=tmp_path)
+    return dataclasses.replace(config, iterations=60), tmp_path / "training_state.json"
+
+
+def decode(blob):
+    data = np.frombuffer(base64.b64decode(blob["f8"]), dtype="<f8")
+    return data.reshape(blob["shape"])
+
+
+def as_lists(state, key):
+    """The state with ``key`` in the list form written before the arrays
+    became blobs: NaN as null in the loss cache and in ``val_error``."""
+    if key in ("w_velocity", "b_velocity"):
+        state[key] = [decode(v).tolist() for v in state[key]]
+    else:
+        state[key] = [None if np.isnan(v) else v for v in decode(state[key]).ravel().tolist()]
+        if key == "metrics":
+            state[key] = [[int(state[key][i]), *state[key][i + 1:i + 3]]
+                          for i in range(0, len(state[key]), 3)]
+    return state
+
+
+def rewrite(path, edit):
+    state = json.loads(path.read_text())
+    edit(state)
+    path.write_text(json.dumps(state))
+
+
+def test_arrays_round_trip(tmp_path):
+    config, path = saved_state(tmp_path)
+    state = json.loads(path.read_text())
+    cache = decode(state["loss_cache"])
+    assert cache.shape == (pin_data()[0].size,)
+    assert np.isnan(cache).any() and np.isfinite(cache).any()
+    metrics = decode(state["metrics"])
+    assert metrics.shape == (50, 3)
+    assert metrics[:, 0].tolist() == list(range(50))
+    assert np.isnan(metrics[:, 2]).sum() == 50 - 50 // config.eval_interval
+    assert [v["shape"] for v in state["w_velocity"]] == [[16, 4], [8, 16]]
+    assert isinstance(state["refresh"]["params"], list)
+
+
+KEYS = ["loss_cache", "w_velocity", "b_velocity", "metrics"]
+
+
+@pytest.mark.parametrize("keys", [[k] for k in KEYS] + [KEYS], ids=KEYS + ["all"])
+def test_old_list_format_rejected(keys, tmp_path):
+    config, path = saved_state(tmp_path)
+    rewrite(path, lambda state: [as_lists(state, k) for k in keys])
+    with pytest.raises(ParseError, match="old list format"):
+        train(config, *pin_data(), resume_from=tmp_path)
+
+
+def truncate(blob):
+    blob["f8"] = blob["f8"][:len(blob["f8"]) // 2]
+
+
+def truncate_whole_quads(blob):
+    # still valid base64, but some floats short of the recorded shape
+    blob["f8"] = blob["f8"][:-12]
+
+
+def not_base64(blob):
+    blob["f8"] = "!" + blob["f8"][1:]
+
+
+CORRUPTIONS = {"truncated": truncate, "truncated-quads": truncate_whole_quads,
+               "not-base64": not_base64}
+BLOBS = {
+    "loss_cache": lambda state: state["loss_cache"],
+    "w_velocity": lambda state: state["w_velocity"][0],
+    "b_velocity": lambda state: state["b_velocity"][-1],
+    "metrics": lambda state: state["metrics"],
+}
+
+
+@pytest.mark.parametrize("corrupt", sorted(CORRUPTIONS))
+@pytest.mark.parametrize("key", sorted(BLOBS))
+def test_corrupt_blob_rejected(key, corrupt, tmp_path):
+    config, path = saved_state(tmp_path)
+    rewrite(path, lambda state: CORRUPTIONS[corrupt](BLOBS[key](state)))
+    with pytest.raises(ParseError, match=key):
+        train(config, *pin_data(), resume_from=tmp_path)
+
+
+def resume_cli(tmp_path, capsys, edit, objective="magnet"):
+    """Train 50 iterations through the command line, edit the state, resume
+    to 60; return the exit status and standard error."""
+    out = tmp_path / "half"
+    half = write_config(tmp_path, name="half.cfg", objective=objective, iterations=50)
+    full = write_config(tmp_path, name="full.cfg", objective=objective, iterations=60)
+    assert main(["train", str(half), str(out)]) == 0
+    rewrite(out / "training_state.json", edit)
+    capsys.readouterr()
+    status = main(["train", str(full), str(tmp_path / "res"), "--resume", str(out)])
+    return status, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("corrupt", sorted(CORRUPTIONS))
+@pytest.mark.parametrize("key", ["loss_cache", "w_velocity", "b_velocity"])
+def test_cli_resume_from_corrupt_blob_errors(key, corrupt, tmp_path, capsys):
+    status, err = resume_cli(tmp_path, capsys,
+                             lambda state: CORRUPTIONS[corrupt](BLOBS[key](state)))
+    assert status == 1
+    assert err.startswith("error:") and key in err
+
+
+def test_cli_resume_from_old_list_format_errors(tmp_path, capsys):
+    status, err = resume_cli(tmp_path, capsys,
+                             lambda state: [as_lists(state, k) for k in KEYS])
+    assert status == 1
+    assert err.startswith("error:") and "old list format" in err
+
+
+def set_refresh(key, value):
+    def edit(state):
+        state["refresh"][key] = value
+    return edit
+
+
+# each was a raw TypeError or ValueError from the refresh that train() runs
+# after loading, or resumed a run that matches no uninterrupted one
+BAD_REFRESH = {
+    "seed-text": ("magnet", set_refresh("seed", "abc")),
+    "seed-negative": ("magnet", set_refresh("seed", -7)),
+    "seed-fraction": ("magnet", set_refresh("seed", 1.5)),
+    "seed-too-large": ("magnet", set_refresh("seed", 2**31)),
+    "seed-null": ("magnet", set_refresh("seed", None)),
+    "seed-bool": ("magnet", set_refresh("seed", True)),
+    "seed-unseeded": ("nca", set_refresh("seed", 5)),
+    "iteration-off-boundary": ("magnet", set_refresh("iteration", 30)),
+    "iteration-past-saved": ("magnet", set_refresh("iteration", 60)),
+    "iteration-earlier-boundary": ("magnet", set_refresh("iteration", 20)),
+    "iteration-text": ("magnet", set_refresh("iteration", "40")),
+    "params-short": ("magnet", lambda state: state["refresh"]["params"].pop()),
+    "params-null": ("magnet", set_refresh("params", None)),
+    "null-off-boundary": ("magnet", lambda state: state.update(refresh=None)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_REFRESH))
+def test_cli_resume_from_bad_refresh_record_errors(case, tmp_path, capsys):
+    objective, edit = BAD_REFRESH[case]
+    status, err = resume_cli(tmp_path, capsys, edit, objective=objective)
+    assert status == 1
+    assert err.startswith("error:") and "refresh" in err
+    assert not (tmp_path / "res" / "metrics.csv").exists()
+
+
+def test_non_finite_refresh_params_rejected(tmp_path):
+    config, path = saved_state(tmp_path)
+    rewrite(path, lambda state: state["refresh"]["params"].__setitem__(0, float("nan")))
+    with pytest.raises(ParseError, match="refresh.params"):
+        train(config, *pin_data(), resume_from=tmp_path)
