@@ -26,11 +26,11 @@ from .evaluate import (
     classify_batch,
     error_rate,
     hierarchy_recovery_eval,
-    knc_classify,
+    knc_context,
     reference_sigma2,
-    soft_knn_classify,
+    soft_knn_context,
 )
-from .index import ClusterIndex, build_index, kmeans
+from .index import ClusterIndex, build_index, class_kmeans, kmeans
 from .losses import (
     LinearHead,
     MagnetConfig,

@@ -18,9 +18,8 @@ from pathlib import Path
 from .config import ExperimentConfig, parse_config
 from .data import MixtureSpec, generate_mixture, load_dataset, save_dataset
 from .errors import ConfigurationError, ContractError, ParseError
-from .evaluate import EvalContext, classify_batch, error_rate, reference_sigma2
+from .evaluate import classify_batch, error_rate, knc_context, soft_knn_context
 from .gradcheck import check_all_objectives
-from .index import build_index
 from .model import EmbeddingModel
 from .training import bench, build_report, train, write_metrics_csv
 
@@ -101,21 +100,18 @@ def _dispatch(args) -> int:
         refs = load_dataset(args.train_dataset) if args.train_dataset else test
         outdir = Path(args.outdir)
         outdir.mkdir(parents=True, exist_ok=True)
+        reps = model.embed(refs.inputs)
         if args.objective == "magnet":
-            idx = build_index(model, refs, k=args.k, seed=0)
-            sigma2 = idx.variance if args.sigma2 is None else args.sigma2
-            ctx = EvalContext(idx.centers, idx.cluster_classes, sigma2, l=args.l)
+            ctx = knc_context(reps, refs.labels, args.k, 0, args.sigma2, l=args.l)
             metric = "knc"
         else:
-            reps = model.embed(refs.inputs)
-            sigma2 = reference_sigma2(reps, refs.labels) if args.sigma2 is None else args.sigma2
-            ctx = EvalContext(reps, refs.labels, sigma2, l=args.l)
+            ctx = soft_knn_context(reps, refs.labels, args.sigma2, l=args.l)
             metric = "soft_knn"
         preds = classify_batch(ctx, model.embed(test.inputs))
         report = {
             "metric": metric,
             "error_rate": error_rate(preds, test.labels),
-            "sigma2": sigma2,
+            "sigma2": ctx.sigma2,
         }
         (outdir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
         print(f"error: {report['error_rate']:.4f} ({metric})")

@@ -4,12 +4,12 @@ attribute precision curves, and hierarchy recovery."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConfigurationError, ContractError
-from .index import VARIANCE_FLOOR, sqdist
+from .index import VARIANCE_FLOOR, class_kmeans, cluster_variance, sqdist
 
 
 @dataclass
@@ -28,10 +28,28 @@ class EvalContext:
         self.classes = np.asarray(self.classes, dtype=np.int64)
         if len(self.references) == 0:
             raise ContractError("evaluation context is empty")
+        if self.classes.shape != (len(self.references),) or (self.classes < 0).any():
+            raise ConfigurationError("classes must be one non-negative tag per reference")
         if not 0 < self.sigma2 < np.inf:  # NaN fails too
             raise ConfigurationError("sigma2 must be positive and finite")
         if self.l < 1:
             raise ConfigurationError("L must be >= 1")
+
+
+def knc_context(reps, labels, k, seed, sigma2=None, l=128, small="raise") -> EvalContext:
+    """kNC references: the centers of :func:`~magnetdml.index.class_kmeans`. ``sigma2``
+    defaults to the variance of ``reps`` about them, as the index computes it."""
+    centers, classes, example_cluster = class_kmeans(reps, labels, k, seed, small)
+    if sigma2 is None:
+        sigma2 = cluster_variance(reps, centers, example_cluster)
+    return EvalContext(centers, classes, sigma2, l)
+
+
+def soft_knn_context(reps, labels, sigma2=None, l=128) -> EvalContext:
+    """Soft-kNN references: the examples; ``sigma2`` defaults to :func:`reference_sigma2`."""
+    if sigma2 is None:
+        sigma2 = reference_sigma2(reps, labels)
+    return EvalContext(reps, labels, sigma2, l)
 
 
 def reference_sigma2(reps, labels) -> float:
@@ -85,18 +103,6 @@ def _finite_scores(ctx: EvalContext, reps: np.ndarray) -> np.ndarray:
     if not np.isfinite(scores).all():
         raise ContractError("classification scores are not finite")
     return scores
-
-
-def knc_classify(ctx: EvalContext, representation: np.ndarray):
-    """Softmax similarity to the L nearest cluster centers; returns the argmax
-    class (ties toward the lower index) and normalized per-class scores."""
-    scores = _finite_scores(ctx, np.atleast_2d(representation))[0]
-    return int(scores.argmax()), scores
-
-
-def soft_knn_classify(ctx: EvalContext, representation: np.ndarray):
-    """The kNC rule with reference examples in place of cluster centers."""
-    return knc_classify(ctx, representation)
 
 
 def classify_batch(ctx: EvalContext, representations: np.ndarray) -> np.ndarray:
@@ -177,20 +183,10 @@ def hierarchy_recovery_eval(
     test_fine = np.asarray(test_fine_labels)
     n_classes = int(max(train_fine.max(), test_fine.max())) + 1
     if method == "knc":
-        from .index import kmeans
-
-        refs, ref_classes = [], []
-        for c in range(n_classes):
-            members = np.asarray(train_representations)[train_fine == c]
-            if len(members) == 0:
-                continue
-            k = min(clusters_per_class, len(members))
-            centers, _, _ = kmeans(members, k, seed=seed + c)
-            refs.append(centers)
-            ref_classes.extend([c] * k)
-        ctx = EvalContext(np.vstack(refs), np.asarray(ref_classes), sigma2, l)
+        ctx = knc_context(train_representations, train_fine, clusters_per_class, seed, sigma2, l,
+                          small="clamp")
     elif method == "soft_knn":
-        ctx = EvalContext(train_representations, train_fine, sigma2, l)
+        ctx = soft_knn_context(train_representations, train_fine, sigma2, l)
     else:
         raise ConfigurationError(f"unknown method {method!r}")
 

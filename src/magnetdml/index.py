@@ -170,36 +170,56 @@ class ClusterIndex:
         return chosen, len(chosen) < count
 
 
+def class_kmeans(points, labels, k: int, seed: int, small: str):
+    """K-means per class, class c seeded with ``seed + c``. Returns (centers,
+    cluster_classes, example_cluster), each class's rows together in class
+    order. For a class of fewer than k examples, ``small="raise"`` refuses it,
+    ``"clamp"`` gives it fewer clusters (none when empty) and ``"pad"`` repeats
+    its last center up to k rows (and refuses an empty class)."""
+    points = np.asarray(points, dtype=np.float64)
+    labels = np.asarray(labels)
+    if len(points) != len(labels) or (labels < 0).any():
+        raise ConfigurationError(
+            f"{len(points)} points need a non-negative label each, got {len(labels)}")
+    centers, classes = [], []
+    example_cluster = np.empty(len(labels), dtype=np.int64)
+    for c in range(int(labels.max()) + 1):
+        members = np.flatnonzero(labels == c)
+        if k > len(members) and small == "raise":
+            raise ConfigurationError(f"class {c} has {len(members)} examples, fewer than K={k}")
+        if not len(members) and small == "pad":
+            raise ConfigurationError(f"class {c} has no examples")
+        if len(members):
+            c_centers, assign, _ = kmeans(points[members], min(k, len(members)), seed=seed + c)
+            if small == "pad":  # repeat the last center up to k rows
+                c_centers = c_centers[np.minimum(np.arange(k), len(c_centers) - 1)]
+            example_cluster[members] = len(classes) + assign
+            centers.append(c_centers)
+            classes += [c] * len(c_centers)
+    return np.vstack(centers), np.asarray(classes, dtype=np.int64), example_cluster
+
+
+def cluster_variance(points: np.ndarray, centers: np.ndarray, example_cluster) -> float:
+    """Variance of points about their centers, (N-1) divisor, floored at ``VARIANCE_FLOOR``."""
+    residual = points - centers[example_cluster]
+    variance = float(np.einsum("ij,ij->i", residual, residual).sum() / max(len(points) - 1, 1))
+    return max(variance, VARIANCE_FLOOR)
+
+
 def build_index(model, dataset: Dataset, k: int = 1, seed: int = 0,
                 loss_cache: Optional[np.ndarray] = None) -> ClusterIndex:
     """Forward all inputs against a frozen snapshot, then K-means per class.
 
     The index shares ``loss_cache`` when one is given, else starts an empty
-    (all NaN) one. Variance uses the (N-1) divisor and is floored at
-    ``VARIANCE_FLOOR``.
+    (all NaN) one.
     """
     reps = model.embed(dataset.inputs)
-    centers = []
-    example_cluster = np.empty(dataset.size, dtype=np.int64)
-    for c in range(dataset.class_count):
-        members = np.flatnonzero(dataset.labels == c)
-        if k > len(members):
-            raise ConfigurationError(
-                f"class {c} has {len(members)} examples, fewer than K={k}"
-            )
-        c_centers, assign, _ = kmeans(reps[members], k, seed=seed + c)
-        centers.append(c_centers)
-        example_cluster[members] = c * k + assign
-
-    centers = np.vstack(centers)
-    residual = reps - centers[example_cluster]
-    n = dataset.size
-    variance = float(np.einsum("ij,ij->i", residual, residual).sum() / max(n - 1, 1))
-    variance = max(variance, VARIANCE_FLOOR)
+    centers, cluster_classes, example_cluster = class_kmeans(
+        reps, dataset.labels, k, seed, small="raise")
     return ClusterIndex(
         centers=centers,
-        cluster_classes=np.repeat(np.arange(dataset.class_count), k),
+        cluster_classes=cluster_classes,
         example_cluster=example_cluster,
-        variance=variance,
+        variance=cluster_variance(reps, centers, example_cluster),
         loss_cache=loss_cache,
     )

@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import ConfigurationError, ContractError
-from .index import VARIANCE_FLOOR, kmeans, sqdist
+from .index import VARIANCE_FLOOR, class_kmeans, sqdist
 from .model import momentum_sgd
 
 
@@ -255,19 +255,9 @@ class NcmModel:
 
     @classmethod
     def fit_centroids(cls, inputs, labels, out_dim: int, k: int, seed: int = 0) -> "NcmModel":
-        inputs = np.asarray(inputs, dtype=np.float64)
-        labels = np.asarray(labels)
-        c = int(labels.max()) + 1
-        cents = []
-        for y in range(c):
-            members = inputs[labels == y]
-            if not len(members):
-                raise ConfigurationError(f"class {y} has no examples")
-            centers, _, _ = kmeans(members, min(k, len(members)), seed=seed + y)
-            if len(centers) < k:  # pad degenerate classes by repeating a centroid
-                centers = np.vstack([centers, np.tile(centers[-1], (k - len(centers), 1))])
-            cents.append(centers)
-        return cls(w=_init_linear(out_dim, inputs.shape[1], seed), centroids=np.stack(cents))
+        centers, _, _ = class_kmeans(inputs, labels, k, seed, small="pad")
+        d = centers.shape[1]
+        return cls(w=_init_linear(out_dim, d, seed), centroids=centers.reshape(-1, k, d))
 
 
 def _init_linear(out_dim, in_dim, seed):

@@ -41,8 +41,8 @@ from .config import ExperimentConfig
 from .data import Dataset, MixtureSpec, generate_mixture, load_dataset, split
 from .errors import ConfigurationError, ContractError, ParseError
 from .evaluate import (EvalContext, SigmaTracker, attribute_precision, classify_batch, error_rate,
-                       reference_sigma2)
-from .index import ClusterIndex, build_index
+                       knc_context, reference_sigma2, soft_knn_context)
+from .index import build_index
 from .model import EmbeddingModel
 from .sampler import sample_neighbourhood, sample_triplets
 
@@ -122,7 +122,7 @@ def train(
 class _Step:
     """The part of the loop that differs between objectives (module docstring).
     ``step`` returns the loss and the batch to name if the loss is not finite;
-    ``predict`` defaults to soft kNN over the training set."""
+    ``predict`` defaults to soft kNN over the training set, built by ``context``."""
 
     seeded = False  # refresh takes an index seed drawn from the training rng
     metric = "soft_knn"
@@ -136,10 +136,12 @@ class _Step:
         pass
 
     def predict(self, sigma2, iteration) -> np.ndarray:
-        reps = self.model.embed(self.train_data.inputs)
-        sigma2 = sigma2 or reference_sigma2(reps, self.train_data.labels)
-        ctx = EvalContext(reps, self.train_data.labels, sigma2, l=self.config.eval_l)
+        ctx = self.context(sigma2, iteration)
         return classify_batch(ctx, self.model.embed(self.test_data.inputs))
+
+    def context(self, sigma2, iteration) -> EvalContext:
+        return soft_knn_context(self.model.embed(self.train_data.inputs), self.train_data.labels,
+                                sigma2, l=self.config.eval_l)
 
     def sigma2(self) -> float:
         return reference_sigma2(self.model.embed(self.train_data.inputs), self.train_data.labels)
@@ -176,20 +178,15 @@ class _MagnetStep(_Step):
         self.sigma.update(result.batch_variance)
         return result.mean_loss, {"examples": nb.example_indices, "clusters": nb.clusters}
 
-    def predict(self, sigma2, iteration) -> np.ndarray:
-        idx = self._eval_index(iteration)
-        sigma2 = sigma2 or self.sigma.value or idx.variance
-        ctx = EvalContext(idx.centers, idx.cluster_classes, sigma2, l=self.config.eval_l)
-        return classify_batch(ctx, self.model.embed(self.test_data.inputs))
-
-    def _eval_index(self, iteration) -> ClusterIndex:
+    def context(self, sigma2, iteration) -> EvalContext:
         # a seed of its own: evaluation must not consume the training rng stream
         seed = (self.config.seed * 1_000_003 + iteration) % (2**31)
-        return build_index(self.model, self.train_data, k=self.config.k, seed=seed)
+        return knc_context(self.model.embed(self.train_data.inputs), self.train_data.labels,
+                           self.config.k, seed, sigma2 or self.sigma.value, l=self.config.eval_l)
 
     def sigma2(self) -> float:
         # before any minibatch: the variance of the index the report builds
-        return self._eval_index(-1).variance if self.sigma.value is None else self.sigma.value
+        return self.context(None, -1).sigma2 if self.sigma.value is None else self.sigma.value
 
     def state(self) -> dict:
         return {"sigma2": self.sigma.value, "loss_cache": _pack(self.loss_cache)}

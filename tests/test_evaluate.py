@@ -9,10 +9,9 @@ from magnetdml import (
     classify_batch,
     error_rate,
     hierarchy_recovery_eval,
-    knc_classify,
-    soft_knn_classify,
 )
 from magnetdml.errors import ConfigurationError, ContractError
+from magnetdml.evaluate import _finite_scores
 from magnetdml.losses import NcmModel, ncm_classify
 
 
@@ -21,25 +20,26 @@ class TestKnc:
         # centers at 0 (class 0) and 2 (class 1), sigma2 = 0.5, query 0:
         # masses exp(0), exp(-4) -> score_0 = 1 / (1 + e^-4)
         ctx = EvalContext(np.array([[0.0], [2.0]]), np.array([0, 1]), sigma2=0.5)
-        cls, scores = knc_classify(ctx, np.array([0.0]))
-        assert cls == 0
+        scores = _finite_scores(ctx, np.array([[0.0]]))[0]
+        assert classify_batch(ctx, np.array([[0.0]])).tolist() == [0]
         assert np.isclose(scores[0], 1.0 / (1.0 + np.exp(-4.0)), atol=1e-12)
         assert np.isclose(scores.sum(), 1.0)
 
     def test_tie_goes_to_lower_class(self):
         ctx = EvalContext(np.array([[-1.0], [1.0]]), np.array([1, 0]), sigma2=1.0)
-        cls, scores = knc_classify(ctx, np.array([0.0]))
+        scores = _finite_scores(ctx, np.array([[0.0]]))[0]
         assert np.isclose(scores[0], scores[1])
-        assert cls == 0
+        assert classify_batch(ctx, np.array([[0.0]])).tolist() == [0]
 
     def test_l_one_is_nearest_center(self):
         centers = np.array([[0.0], [1.0], [5.0]])
         classes = np.array([0, 1, 2])
         ctx = EvalContext(centers, classes, sigma2=1.0, l=1)
-        for q, want in [(-3.0, 0), (0.6, 1), (4.0, 2)]:
-            cls, scores = knc_classify(ctx, np.array([q]))
-            assert cls == want
-            assert np.isclose(scores[want], 1.0)
+        queries = np.array([[-3.0], [0.6], [4.0]])
+        assert classify_batch(ctx, queries).tolist() == [0, 1, 2]
+        scores = _finite_scores(ctx, queries)
+        for want in range(3):
+            assert np.isclose(scores[want, want], 1.0)
 
     def test_argmax_unaffected_by_sigma(self):
         rng = np.random.default_rng(0)
@@ -68,10 +68,7 @@ class TestKnc:
         reps = np.array([[0.0], [0.1], [3.0]])
         labels = np.array([0, 0, 1])
         ctx = EvalContext(reps, labels, sigma2=1.0)
-        cls, _ = soft_knn_classify(ctx, np.array([0.05]))
-        assert cls == 0
-        cls, _ = soft_knn_classify(ctx, np.array([3.2]))
-        assert cls == 1
+        assert classify_batch(ctx, np.array([[0.05], [3.2]])).tolist() == [0, 1]
 
     def test_nan_scores_rejected(self):
         # a NaN reference among the L nearest makes every score NaN, which
@@ -80,15 +77,23 @@ class TestKnc:
         with pytest.raises(ContractError, match="not finite"):
             classify_batch(ctx, np.array([[0.5], [2.5]]))
 
-    @pytest.mark.parametrize("classify", [knc_classify, soft_knn_classify])
+    @pytest.mark.parametrize("classify", [classify_batch, _finite_scores])
     def test_nan_scores_rejected_single_query(self, classify):
         ctx = EvalContext(np.array([[0.0], [1.0], [np.nan], [3.0]]), [0, 1, 1, 1], 1.0, l=4)
         with pytest.raises(ContractError, match="not finite"):
-            classify(ctx, np.array([0.5]))
+            classify(ctx, np.array([[0.5]]))
 
     def test_empty_context_rejected(self):
         with pytest.raises(ContractError):
             EvalContext(np.zeros((0, 2)), np.zeros(0, dtype=int), sigma2=1.0)
+
+    @pytest.mark.parametrize("classes", [[-1, 0], [0], [0, 1, 1], [[0], [1]]],
+                             ids=["negative", "short", "long", "2-d"])
+    def test_bad_classes_rejected(self, classes):
+        # a tag of -1 used to add its query's kernel mass to the previous
+        # query's last class cell
+        with pytest.raises(ConfigurationError, match="one non-negative tag per reference"):
+            EvalContext(np.array([[0.0], [5.0]]), classes, sigma2=1.0)
 
     def test_bad_sigma_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -231,6 +236,26 @@ class TestHierarchyRecovery:
         with pytest.raises(ContractError, match="not finite"):
             hierarchy_recovery_eval(refs, [0, 1, 2, 3], np.array([[0.5], [2.5]]), [0, 1],
                                     sigma2=1.0, l=4, method=method)
+
+    def test_knc_clamps_small_classes_and_skips_unseen(self):
+        # two points per training class take two clusters, not three; fine
+        # label 1 appears only in the test set and gets no centers, so the
+        # query at 5 cannot be classified correctly
+        tr = np.array([[0.0], [0.5], [10.0], [10.5]])
+        te = np.array([[0.2], [10.2], [5.0]])
+        e1, e5 = hierarchy_recovery_eval(tr, [0, 0, 2, 2], te, np.array([0, 2, 1]), sigma2=1.0,
+                                         method="knc", clusters_per_class=3)
+        assert e1 == pytest.approx(1 / 3)
+        assert e5 is None
+
+    @pytest.mark.parametrize("method, match", [
+        ("knc", "4 points need a non-negative label each, got 3"),
+        ("soft_knn", "one non-negative tag per reference"),
+    ])
+    def test_misaligned_labels_rejected(self, method, match):
+        with pytest.raises(ConfigurationError, match=match):
+            hierarchy_recovery_eval(np.zeros((4, 1)), [0, 0, 1], np.zeros((2, 1)), [0, 1],
+                                    sigma2=1.0, method=method)
 
     def test_joint_rescale_invariance(self):
         # scaling representations by t and sigma2 by t^2 leaves errors unchanged

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from magnetdml import Dataset, EmbeddingModel, ExperimentConfig, build_index, kmeans
+from magnetdml import Dataset, EmbeddingModel, ExperimentConfig, build_index, class_kmeans, kmeans
 from magnetdml.errors import ConfigurationError
 from magnetdml.index import VARIANCE_FLOOR
 from magnetdml.training import _MagnetStep
@@ -120,6 +120,33 @@ class TestBuildIndex:
         step.refresh(1, step.model.snapshot(), 1)
         assert step.index.loss_cache is step.loss_cache
         np.testing.assert_array_equal(step.loss_cache, written)
+
+
+class TestClassKmeans:
+    points = np.array([[0.0], [1.0], [9.0]])
+
+    def test_clamp_takes_fewer_clusters_and_skips_empty_classes(self):
+        centers, classes, example_cluster = class_kmeans(self.points, [0, 0, 2], 2, 0, "clamp")
+        np.testing.assert_array_equal(classes, [0, 0, 2])
+        np.testing.assert_array_equal(centers[example_cluster], self.points)
+
+    def test_pad_repeats_the_last_center(self):
+        centers, classes, example_cluster = class_kmeans(self.points, [0, 0, 1], 2, 0, "pad")
+        np.testing.assert_array_equal(classes, [0, 0, 1, 1])
+        np.testing.assert_array_equal(centers[2:], [[9.0], [9.0]])
+        assert example_cluster[2] == 2
+
+    @pytest.mark.parametrize("labels", [[0, 0], [0, -1, 1]], ids=["short", "negative"])
+    def test_labels_must_be_one_non_negative_tag_per_point(self, labels):
+        with pytest.raises(ConfigurationError, match="points need a non-negative label each"):
+            class_kmeans(self.points, labels, 1, 0, "clamp")
+
+    @pytest.mark.parametrize("small, match", [
+        ("raise", "class 1 has 1 examples, fewer than K=2"), ("pad", "class 1 has no examples")])
+    def test_refused_classes(self, small, match):
+        labels = [0, 0, 1] if small == "raise" else [0, 0, 2]
+        with pytest.raises(ConfigurationError, match=match):
+            class_kmeans(self.points, labels, 2, 0, small)
 
 
 class TestLossCache:

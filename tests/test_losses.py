@@ -303,6 +303,18 @@ class TestNcm:
         m = NcmModel.fit_means(x, y, out_dim=1, seed=0)
         assert np.allclose(m.centroids[:, 0, 0], [1.0, 11.0])
 
+    def test_one_point_class_padded_to_k(self):
+        # a class smaller than K keeps K rows: its centers repeat to fill them
+        x = np.array([[0.0, 1.0], [2.0, 1.0], [4.0, 1.0], [7.0, -3.0]])
+        y = np.array([0, 0, 0, 1])
+        m = NcmModel.fit_centroids(x, y, out_dim=2, k=3, seed=0)
+        assert m.centroids.shape == (2, 3, 2)
+        np.testing.assert_array_equal(m.centroids[1], np.tile(x[3], (3, 1)))
+
+    def test_misaligned_labels_rejected(self):
+        with pytest.raises(ConfigurationError, match="4 points need a non-negative label each, got 3"):
+            NcmModel.fit_centroids(np.zeros((4, 2)), [0, 0, 1], 2, k=1)
+
     def test_class_without_examples_rejected(self):
         # label 1 has no examples; its mean used to be NaN
         x, y = np.array([[0.0], [2.0], [10.0]]), np.array([0, 0, 2])
