@@ -80,11 +80,33 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
 
 
 def sqdist(a: np.ndarray, b: np.ndarray, a_sq: Optional[np.ndarray] = None) -> np.ndarray:
-    """Squared Euclidean distances between the rows of a and b, clamped at 0.
-    ``a_sq``, when given, is ``(a * a).sum(1)`` computed by the caller."""
+    """Squared Euclidean distances between the rows of a and b, clamped at 0:
+    the one block of :func:`sqdist_blocks`. ``a_sq``, when given, is
+    ``(a * a).sum(1)`` computed by the caller."""
+    ((_, d2),) = sqdist_blocks(a, b, max(len(a), 1), a_sq)
+    return d2
+
+
+def sqdist_blocks(a: np.ndarray, b: np.ndarray, rows: int, a_sq: Optional[np.ndarray] = None):
+    """Yield ``(start, d2)``, the clamped squared distances of
+    ``a[start:start + rows]`` to ``b``, block by block; ``d2`` is a buffer
+    that the next block overwrites.
+
+    The product ``2.0 * a @ b.T`` is taken once for all rows, and what
+    follows it is per element, so every block holds the bytes of its rows of
+    the full matrix. A product per block would round differently.
+    """
     if a_sq is None:
         a_sq = (a * a).sum(1)
-    return np.maximum(a_sq[:, None] + (b * b).sum(1)[None, :] - 2.0 * a @ b.T, 0.0)
+    b_sq = (b * b).sum(1)
+    prod = 2.0 * a @ b.T
+    buf = np.empty((min(rows, len(a)), len(b)))
+    for start in range(0, max(len(a), 1), rows):  # an empty a gives one empty block
+        stop = min(start + rows, len(a))
+        d2 = buf[: stop - start]
+        np.add(a_sq[start:stop, None], b_sq, out=d2)
+        d2 -= prod[start:stop]
+        yield start, np.maximum(d2, 0.0, out=d2)
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,30 @@ class TestKnc:
     def test_non_finite_sigma_rejected(self, sigma2):
         with pytest.raises(ConfigurationError, match="finite"):
             EvalContext(np.zeros((1, 2)), np.zeros(1, dtype=int), sigma2=sigma2)
+
+    def test_query_width_other_than_references_rejected(self):
+        # used to surface as numpy's matmul core-dimension ValueError
+        rng = np.random.default_rng(0)
+        ctx = EvalContext(rng.normal(size=(20, 32)), rng.integers(0, 3, 20), sigma2=1.0)
+        with pytest.raises(ConfigurationError, match="queries are 31-d but references are 32-d"):
+            classify_batch(ctx, rng.normal(size=(5, 31)))
+
+
+def test_scoring_holds_one_distance_product():
+    """One soft-kNN call at benchmark size allocates the full query x
+    reference distance product and little more: the rest of the work runs in
+    row blocks of about 1 MB. Holding the whole distance matrix beside the
+    product read 2.04x the product's bytes."""
+    rng = np.random.default_rng(0)
+    ctx = EvalContext(rng.normal(size=(3600, 32)), rng.integers(0, 10, 3600), sigma2=1.0)
+    queries = rng.normal(size=(900, 32))
+    tracemalloc.start()
+    try:
+        classify_batch(ctx, queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * 900 * 3600 * 8
 
 
 class TestErrorRate:
@@ -236,6 +262,13 @@ class TestHierarchyRecovery:
         with pytest.raises(ContractError, match="not finite"):
             hierarchy_recovery_eval(refs, [0, 1, 2, 3], np.array([[0.5], [2.5]]), [0, 1],
                                     sigma2=1.0, l=4, method=method)
+
+    @pytest.mark.parametrize("method", ["knc", "soft_knn"])
+    def test_width_mismatch_rejected(self, method):
+        tr, trf, te, tef = self.separable()
+        with pytest.raises(ConfigurationError, match="queries are 3-d but references are 2-d"):
+            hierarchy_recovery_eval(tr, trf, np.hstack([te, te[:, :1]]), tef, sigma2=1.0,
+                                    method=method)
 
     def test_knc_clamps_small_classes_and_skips_unseen(self):
         # two points per training class take two clusters, not three; fine

@@ -17,7 +17,7 @@ import hashlib
 
 import pytest
 
-from magnetdml import ExperimentConfig, MixtureSpec, Mode, generate_mixture, split
+from magnetdml import ExperimentConfig, MixtureSpec, Mode, evaluate, generate_mixture, split
 from magnetdml.training import train, write_metrics_csv
 
 PINNED_SHA256 = {
@@ -63,3 +63,13 @@ def test_metrics_csv_bytes_pinned(objective, tmp_path):
     path = tmp_path / "metrics.csv"
     write_metrics_csv(result.metrics, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SHA256[objective]
+
+
+@pytest.mark.parametrize("budget", [1, 1000], ids=["one-row", "ragged"])
+@pytest.mark.parametrize("objective", ["nca", "triplet"])
+def test_soft_knn_pins_hold_in_row_blocks(objective, budget, tmp_path, monkeypatch):
+    """Soft-kNN evaluation split into many row blocks (one query each, or
+    three with a shorter last block over the 256 training references) gives
+    the same bytes."""
+    monkeypatch.setattr(evaluate, "_BLOCK_ELEMENTS", budget)
+    test_metrics_csv_bytes_pinned(objective, tmp_path)

@@ -8,12 +8,15 @@ does not move. Coordinates are drawn from a coarse grid so that duplicate
 rows and ties at the L-th (or pool-boundary) distance are common.
 """
 
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magnetdml import EvalContext, sample_triplets
-from magnetdml.evaluate import _retrieve_scores, _stable_nearest
+from magnetdml import EvalContext, evaluate, sample_triplets
+from magnetdml.evaluate import _nearest_others, _retrieve_scores, _stable_nearest
 
 
 def reference_retrieve_scores(ctx, reps):
@@ -192,3 +195,67 @@ def test_sample_triplets_matches_full_sort_continuous(
     for g, w in zip(got, want):
         assert same_bytes(g, w)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("blocking", ["one_row", "ragged"])
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_refs=st.integers(1, 40),
+    block_rows=st.integers(2, 5),
+    full_blocks=st.integers(1, 3),
+    tail=st.integers(0, 3),
+    dim=st.integers(1, 32),
+    levels=st.integers(0, 6),
+    l=st.one_of(st.just(1), st.integers(1, 50)),
+    sigma2=st.sampled_from([1e-3, 0.5, 1.0, 7.0]),
+    non_finite=st.sampled_from(["none", "none", "queries", "references"]),
+)
+def test_retrieve_scores_matches_full_sort_in_row_blocks(
+    blocking, seed, n_refs, block_rows, full_blocks, tail, dim, levels, l, sigma2, non_finite
+):
+    """The full-sort reference against scoring split into many row blocks:
+    one query a block, or ``block_rows`` a block with a shorter last block."""
+    n_queries = block_rows * full_blocks + 1 + tail % (block_rows - 1)
+    budget = 1 if blocking == "one_row" else block_rows * n_refs + n_refs - 1
+    rng = np.random.default_rng(seed)
+    if levels:
+        refs = grid_points(rng, n_refs, dim, levels, non_finite == "references")
+        queries = grid_points(rng, n_queries, dim, levels, non_finite == "queries")
+    else:  # continuous coordinates: the distance product rounds
+        refs = rng.standard_normal((n_refs, dim))
+        queries = rng.standard_normal((n_queries, dim))
+    queries[-1] = refs[rng.integers(n_refs)]  # a query duplicating a reference
+    ctx = EvalContext(refs, rng.integers(0, 4, n_refs), sigma2, l=l)
+    with np.errstate(all="ignore"), mock.patch.object(evaluate, "_BLOCK_ELEMENTS", budget):
+        want = reference_retrieve_scores(ctx, queries)
+        got = _retrieve_scores(ctx, queries)
+    assert same_bytes(got, want)
+
+
+@pytest.mark.parametrize("budget", [1, 30, 1 << 17])
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 40),
+    dim=st.integers(1, 4),
+    levels=st.integers(1, 5),
+    sizes=st.lists(st.integers(1, 39), min_size=1, max_size=3),
+    non_finite=st.sampled_from([False, False, True]),
+)
+def test_nearest_others_matches_full_sort(budget, seed, n, dim, levels, sizes, non_finite):
+    """Each example's nearest others against the full distance matrix with
+    its diagonal set to inf, sorted stably, at one row a block, a ragged
+    blocking and one block."""
+    sizes = [min(s, n - 1) for s in sizes]
+    reps = grid_points(np.random.default_rng(seed), n, dim, levels, non_finite)
+    with np.errstate(all="ignore"):
+        d2 = np.maximum(
+            (reps * reps).sum(1)[:, None] + (reps * reps).sum(1)[None, :] - 2.0 * reps @ reps.T,
+            0.0,
+        )
+        np.fill_diagonal(d2, np.inf)
+        want = np.argsort(d2, axis=1, kind="stable")[:, :max(sizes)]
+        with mock.patch.object(evaluate, "_BLOCK_ELEMENTS", budget):
+            got = _nearest_others(reps, sizes)
+    assert same_bytes(got, want)
