@@ -45,7 +45,13 @@ from .losses import (
     triplet_loss,
 )
 from .model import EmbeddingModel, OptimizerConfig, grad_check
-from .sampler import Neighbourhood, sample_neighbourhood, sample_triplets, seed_distribution
+from .sampler import (
+    Neighbourhood,
+    TripletMiner,
+    sample_neighbourhood,
+    sample_triplets,
+    seed_distribution,
+)
 from .training import TrainResult, bench, build_report, train
 
 __version__ = "0.1.0"

@@ -147,12 +147,21 @@ class ClusterIndex:
     def cluster_count(self) -> int:
         return len(self.centers)
 
-    def update_loss_cache(self, example_losses):
-        """Overwrite cached losses for the given (example index, loss) pairs
-        and mark their clusters' means stale."""
-        for idx, loss in example_losses:
-            self.loss_cache[idx] = loss
-            self._stale[self.example_cluster[idx]] = True
+    def update_loss_cache(self, indices, losses):
+        """Overwrite the cached losses of examples ``indices`` with ``losses``
+        and mark their clusters' means stale. An example that repeats keeps
+        its last loss: numpy leaves unspecified which of several fancy-index
+        writes to one element lands, so only each index's last occurrence is
+        written."""
+        indices = np.asarray(indices, dtype=np.intp)
+        losses = np.asarray(losses, dtype=np.float64)
+        if losses.shape != indices.shape:
+            raise ConfigurationError(
+                f"losses of shape {losses.shape} for indices of shape {indices.shape}")
+        # an index's first occurrence in the reversed arrays is its last one
+        _, first = np.unique(indices[::-1], return_index=True)
+        self.loss_cache[indices[::-1][first]] = losses[::-1][first]
+        self._stale[self.example_cluster[indices]] = True
 
     def cluster_mean_losses(self) -> np.ndarray:
         """Mean cached loss per cluster; uncached clusters fall back to the

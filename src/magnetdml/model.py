@@ -71,6 +71,11 @@ class EmbeddingModel:
         self._version = 0
 
     @property
+    def version(self) -> int:
+        """Counts parameter writes through :meth:`sgd_step` and :meth:`set_flat_params`."""
+        return self._version
+
+    @property
     def input_dim(self) -> int:
         return self.layer_dims[0]
 

@@ -75,16 +75,38 @@ def sample_neighbourhood(
     )
 
 
-def sample_triplets(
-    representations: np.ndarray,
-    labels: np.ndarray,
-    count: int,
-    impostor_fraction: float,
-    rng,
-):
+class TripletMiner:
+    """What :func:`sample_triplets` draws from that changes only when the
+    mining representations do: built once per refresh from the snapshot's
+    embedding of the training set.
+
+    ``classes`` maps each example to its class position, ``members[c]``
+    lists class c's examples in ascending index order (``rng.choice`` draws
+    by position), ``seedable`` the examples of classes with two or more,
+    ``sq`` the squared norms and ``err`` each row's rounding bound as a seed
+    (``_ranked_impostors``)."""
+
+    def __init__(self, representations: np.ndarray, labels: np.ndarray):
+        self.reps = np.atleast_2d(np.asarray(representations, dtype=np.float64))
+        labels = np.asarray(labels)
+        _, self.classes, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+        if len(sizes) < 2:
+            raise ConfigurationError("triplet sampling needs at least two classes")
+        self.members = np.split(np.argsort(self.classes, kind="stable"), np.cumsum(sizes)[:-1])
+        self.seedable = np.concatenate([m for m in self.members if len(m) >= 2])
+        if len(self.seedable) == 0:
+            raise ConfigurationError("no class has two examples to form a positive pair")
+        eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).smallest_subnormal
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.sq = np.einsum("ij,ij->i", self.reps, self.reps)
+            span = 2.0 * (np.sqrt(self.sq.max()) + np.sqrt(self.sq))
+            self.err = 2 * (self.reps.shape[1] + 4) * (eps * span**2 + 4 * tiny)
+
+
+def sample_triplets(miner: TripletMiner, count: int, impostor_fraction: float, rng):
     """Mined triplets: uniform seeds, uniform same-class positives, negatives
     uniform over the nearest ``impostor_fraction`` quantile of other-class
-    examples by current representation distance (1.0 = unmined).
+    examples by the miner's representation distance (1.0 = unmined).
 
     Impostors rank by (squared distance, index): at equal distance the lower
     index is nearer, so the quantile pool is well defined under ties. The
@@ -95,19 +117,9 @@ def sample_triplets(
     """
     if not 0 < impostor_fraction <= 1:
         raise ConfigurationError("impostor_fraction must lie in (0, 1]")
-    reps = np.atleast_2d(np.asarray(representations, dtype=np.float64))
-    labels = np.asarray(labels)
-    _, classes, sizes = np.unique(labels, return_inverse=True, return_counts=True)
-    if len(sizes) < 2:
-        raise ConfigurationError("triplet sampling needs at least two classes")
     rng = np.random.default_rng(rng)
-    # each class's members in ascending index order, as rng.choice draws by position
-    members = np.split(np.argsort(classes, kind="stable"), np.cumsum(sizes)[:-1])
-    seedable = np.concatenate([m for m in members if len(m) >= 2])
-    if len(seedable) == 0:
-        raise ConfigurationError("no class has two examples to form a positive pair")
-
-    seeds = rng.choice(seedable, size=count).astype(np.int64)
+    classes, members, n = miner.classes, miner.members, len(miner.classes)
+    seeds = rng.choice(miner.seedable, size=count).astype(np.int64)
     positives = np.empty(count, dtype=np.int64)
     ranks = np.empty(count, dtype=np.int64)
     for t, s in enumerate(seeds):
@@ -119,12 +131,12 @@ def sample_triplets(
         # the negative's rank among the other-class examples, drawn from the
         # same stream as rng.choice over its pool: by index when unmined, by
         # (squared distance, index) when mined
-        ranks[t] = rng.integers(max(1, int(np.ceil(impostor_fraction * (len(labels) - len(same))))))
+        ranks[t] = rng.integers(max(1, int(np.ceil(impostor_fraction * (n - len(same))))))
     if impostor_fraction >= 1.0:
         negatives = np.array([np.flatnonzero(classes != classes[s])[j]
                               for s, j in zip(seeds, ranks)], dtype=np.int64)
     else:
-        negatives = _ranked_impostors(reps, classes, members, seeds, ranks)
+        negatives = _ranked_impostors(miner, seeds, ranks)
     return seeds, positives, negatives
 
 
@@ -134,10 +146,10 @@ def sample_triplets(
 SEED_BLOCK = 16
 
 
-def _ranked_impostors(reps, classes, members, seeds, ranks):
+def _ranked_impostors(miner, seeds, ranks):
     """For each seed ``s = seeds[t]``, the row ``i`` outside the seed's class
-    ``members[classes[s]]`` at rank ``ranks[t]`` by (d2, i), where d2 is the
-    einsum squared distance that ``sample_triplets`` documents.
+    ``miner.members[classes[s]]`` at rank ``ranks[t]`` by (d2, i), where d2 is
+    the einsum squared distance that ``sample_triplets`` documents.
 
     Filter and refine. One matrix product per block of seeds gives the
     approximate distances ``‖r_s‖² + ‖r_i‖² - 2 r_s·r_i``. Standard
@@ -162,12 +174,9 @@ def _ranked_impostors(reps, classes, members, seeds, ranks):
     threshold), the band is every other-class row and ``below`` is 0; the
     (d2, index) sort puts NaN distances last, in index order.
     """
-    eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).smallest_subnormal
-    with np.errstate(over="ignore", invalid="ignore"):
-        sq = np.einsum("ij,ij->i", reps, reps)
-        span = 2.0 * (np.sqrt(sq.max()) + np.sqrt(sq[seeds]))
-        err = 2 * (reps.shape[1] + 4) * (eps * span**2 + 4 * tiny)
-    rows = _approx_sqdist(reps, sq, seeds) if np.isfinite(err).all() else repeat(None)
+    reps, classes, members = miner.reps, miner.classes, miner.members
+    err = miner.err[seeds]
+    rows = _approx_sqdist(reps, miner.sq, seeds) if np.isfinite(err).all() else repeat(None)
     negatives = np.empty(len(seeds), dtype=np.int64)
     for t, (s, j, e, approx) in enumerate(zip(seeds, ranks, err, rows)):
         if approx is None:

@@ -6,11 +6,14 @@ iterations it saves the state (given a ``checkpoint_dir``), then refreshes
 from a frozen model snapshot and, for ``seeded`` objectives, an index seed
 drawn from the rng. An objective is a step object: its constructor builds the
 fresh model and its own state; ``refresh(iteration, snapshot, seed)`` rebuilds
-what derives from the snapshot (magnet index, triplet mining representations);
+what derives from the snapshot (magnet index, triplet miner);
 ``step(iteration, rng)`` runs one sample/forward/loss/backward/SGD iteration;
 ``predict(sigma2, iteration)`` classifies the test split for the eval rows and
 the report; ``sigma2()`` is the report variance; ``state()`` adds its own keys
 to ``training_state.json`` and ``resume(raw)`` copies them into its own arrays.
+``report_reuses_eval`` is set when an eval's ``predict(None, it)`` classifies
+as the report's ``predict(sigma2(), -1)`` does; an eval at the last iteration
+then serves the report.
 
 Resume contract: any state the loop writes resumes byte for byte, under the
 config it was saved with; only ``iterations`` may differ, and not fall below
@@ -44,7 +47,7 @@ from .evaluate import (EvalContext, SigmaTracker, attribute_precision, classify_
                        knc_context, reference_sigma2, soft_knn_context)
 from .index import build_index
 from .model import EmbeddingModel
-from .sampler import sample_neighbourhood, sample_triplets
+from .sampler import TripletMiner, sample_neighbourhood, sample_triplets
 
 
 @dataclass
@@ -62,6 +65,9 @@ class TrainResult:
     train_data: Dataset
     test_data: Dataset
     step: "_Step"  # the objective that classifies for build_report
+    # (model version, sigma2, test predictions) of an eval at the last
+    # iteration that build_report may reuse while both still match
+    final_eval: Optional[tuple] = None
 
 
 def resolve_datasets(config: ExperimentConfig) -> Tuple[Dataset, Dataset]:
@@ -92,7 +98,7 @@ def train(
         train_data, test_data = resolve_datasets(config)
     step = _STEPS[config.objective](config, train_data, test_data)
     rng = np.random.default_rng(config.seed)
-    start, metrics, refreshed = 0, [], None
+    start, metrics, refreshed, final_preds = 0, [], None, None
     if resume_from is not None:
         start, metrics, refreshed = _load_training_state(resume_from, step, rng)
         if refreshed is not None:
@@ -111,12 +117,17 @@ def train(
                 it, json.dumps(batch, default=lambda a: a.tolist())))
         row = MetricsRow(it, loss)
         if (it + 1) % config.eval_interval == 0:
-            row.val_error = error_rate(step.predict(None, it), test_data.labels)
+            preds = step.predict(None, it)
+            row.val_error = error_rate(preds, test_data.labels)
+            if it + 1 == config.iterations and step.report_reuses_eval:
+                final_preds = preds
         metrics.append(row)
 
     if checkpoint_dir is not None:
         _save_training_state(checkpoint_dir, step, rng, config.iterations, metrics, refreshed)
-    return TrainResult(step.model, metrics, step.sigma2(), train_data, test_data, step)
+    sigma2 = step.sigma2()
+    final_eval = None if final_preds is None else (step.model.version, sigma2, final_preds)
+    return TrainResult(step.model, metrics, sigma2, train_data, test_data, step, final_eval)
 
 
 class _Step:
@@ -126,6 +137,7 @@ class _Step:
 
     seeded = False  # refresh takes an index seed drawn from the training rng
     metric = "soft_knn"
+    report_reuses_eval = True
 
     def __init__(self, config, train_data, test_data, model=None):
         self.config, self.train_data, self.test_data = config, train_data, test_data
@@ -156,6 +168,7 @@ class _Step:
 class _MagnetStep(_Step):
     seeded = True
     metric = "knc"
+    report_reuses_eval = False  # the report's K-means draws a seed of its own
 
     def __init__(self, config, train_data, test_data):
         super().__init__(config, train_data, test_data)
@@ -174,7 +187,7 @@ class _MagnetStep(_Step):
         result = L.magnet_minibatch_loss(
             reps, nb.example_clusters, nb.cluster_classes, self.loss_config)
         self.model.sgd_step(self.model.backward(trace, result.rep_grads), self.opt, iteration)
-        self.index.update_loss_cache(zip(nb.example_indices, result.example_losses))
+        self.index.update_loss_cache(nb.example_indices, result.example_losses)
         self.sigma.update(result.batch_variance)
         return result.mean_loss, {"examples": nb.example_indices, "clusters": nb.clusters}
 
@@ -203,12 +216,11 @@ class _MagnetStep(_Step):
 
 class _TripletStep(_Step):
     def refresh(self, iteration, snapshot, seed):
-        self.mined_reps = snapshot.embed(self.train_data.inputs)
+        self.miner = TripletMiner(snapshot.embed(self.train_data.inputs), self.train_data.labels)
 
     def step(self, iteration, rng):
         seeds, pos, neg = sample_triplets(
-            self.mined_reps, self.train_data.labels, self.config.batch_size,
-            self.config.impostor_fraction, rng)
+            self.miner, self.config.batch_size, self.config.impostor_fraction, rng)
         stacked = np.concatenate([seeds, pos, neg])
         reps, trace = self.model.forward(self.train_data.inputs[stacked])
         result = L.triplet_loss(*np.split(reps, 3), self.config.alpha)
@@ -306,13 +318,18 @@ _STEPS = {
 # -- reports ----------------------------------------------------------------
 
 def build_report(config: ExperimentConfig, result: TrainResult) -> dict:
-    """Evaluation report: error rate, confusion counts, optional extras."""
+    """Evaluation report: error rate, confusion counts, optional extras. The
+    predictions of an eval at the last iteration are reused while the model
+    and ``result.sigma2`` are those they were made with."""
     train_data, test_data = result.train_data, result.test_data
-    preds = result.step.predict(result.sigma2, -1)
+    reused = result.final_eval
+    if reused is not None and reused[:2] == (result.step.model.version, result.sigma2):
+        preds = reused[2]
+    else:
+        preds = result.step.predict(result.sigma2, -1)
     c = max(train_data.class_count, test_data.class_count)
     confusion = np.zeros((c, c), dtype=int)
-    for t, p in zip(test_data.labels, preds):
-        confusion[int(t), int(p)] += 1
+    np.add.at(confusion, (test_data.labels, preds), 1)
     report = {
         "objective": config.objective,
         "metric": result.step.metric,

@@ -156,21 +156,21 @@ class TestLossCache:
 
     def test_cluster_mean(self):
         idx = self.make_index()
-        idx.update_loss_cache([(0, 1.0), (1, 3.0)])
+        idx.update_loss_cache([0, 1], [1.0, 3.0])
         means = idx.cluster_mean_losses()
         assert np.isclose(means[0], 2.0)
 
     def test_uncached_fallback_global_mean_then_one(self):
         idx = self.make_index()
         assert (idx.cluster_mean_losses() == 1.0).all()
-        idx.update_loss_cache([(0, 4.0)])
+        idx.update_loss_cache([0], [4.0])
         means = idx.cluster_mean_losses()
         assert np.isclose(means[1], 4.0)  # global mean
 
     def test_overwrite_semantics(self):
         idx = self.make_index()
-        idx.update_loss_cache([(0, 1.0), (1, 3.0)])
-        idx.update_loss_cache([(0, 5.0)])
+        idx.update_loss_cache([0, 1], [1.0, 3.0])
+        idx.update_loss_cache([0], [5.0])
         assert np.isclose(idx.cluster_mean_losses()[0], 4.0)
 
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import magnetdml.index as index_module
 from magnetdml import kmeans
+from magnetdml.errors import ConfigurationError
 from magnetdml.index import ClusterIndex, _kmeanspp_init
 
 
@@ -70,7 +71,8 @@ def test_incremental_means_match_from_scratch(case):
     index = make_index(assignment, rows, cache)
     for op, arg in ops + [("query", None)]:
         if op == "update":
-            index.update_loss_cache(arg)  # may repeat an example: the last write wins
+            # may repeat an example: the last write wins
+            index.update_loss_cache([i for i, _ in arg], [loss for _, loss in arg])
         elif op == "rebuild":
             index = make_index(arg, rows, cache)
         assert index.loss_cache is cache
@@ -78,21 +80,43 @@ def test_incremental_means_match_from_scratch(case):
         assert got.tobytes() == reference_cluster_mean_losses(index).tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), losses), max_size=40))))
+def test_one_pass_write_keeps_the_last_loss(case):
+    """The fancy-indexed write matches writing the pairs one by one in order,
+    with repeated examples common: only the last loss of each lands."""
+    n, pairs = case
+    index = make_index([j % 2 for j in range(n)], 2, None)
+    want = np.full(n, np.nan)
+    for i, loss in pairs:
+        want[i] = loss
+    index.update_loss_cache([i for i, _ in pairs], [loss for _, loss in pairs])
+    assert index.loss_cache.tobytes() == want.tobytes()
+    assert index.cluster_mean_losses().tobytes() == reference_cluster_mean_losses(index).tobytes()
+
+
+def test_misaligned_losses_rejected():
+    index = make_index([0, 1], 2, None)
+    with pytest.raises(ConfigurationError, match="losses of shape"):
+        index.update_loss_cache([0, 1], [1.0])
+
+
 def test_uncached_clusters_follow_the_global_mean():
     # row 2 has no members and row 1 none cached: both take the global mean,
     # which moves with every write to any cluster
     index = make_index([0, 0, 1, 1], 3, None)
-    index.update_loss_cache([(0, 1.0)])
+    index.update_loss_cache([0], [1.0])
     assert index.cluster_mean_losses().tolist() == [1.0, 1.0, 1.0]
-    index.update_loss_cache([(1, 3.0), (1, 5.0)])
+    index.update_loss_cache([1, 1], [3.0, 5.0])
     assert index.cluster_mean_losses().tolist() == [3.0, 3.0, 3.0]
-    index.update_loss_cache([(2, 9.0)])
+    index.update_loss_cache([2], [9.0])
     assert index.cluster_mean_losses().tolist() == [3.0, 9.0, 5.0]
 
 
 def test_means_are_a_copy():
     index = make_index([0, 1], 2, None)
-    index.update_loss_cache([(0, 2.0), (1, 4.0)])
+    index.update_loss_cache([0, 1], [2.0, 4.0])
     index.cluster_mean_losses()[:] = 0.0
     assert index.cluster_mean_losses().tolist() == [2.0, 4.0]
 

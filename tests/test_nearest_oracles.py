@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magnetdml import EvalContext, evaluate, sample_triplets
+from magnetdml import EvalContext, TripletMiner, evaluate, sample_triplets
 from magnetdml.evaluate import _nearest_others, _retrieve_scores, _stable_nearest
 
 
@@ -147,7 +147,7 @@ def test_sample_triplets_matches_full_sort(
     got_rng = np.random.default_rng(seed + 1)
     with np.errstate(all="ignore"):
         want = reference_sample_triplets(reps, labels, count, impostor_fraction, want_rng)
-        got = sample_triplets(reps, labels, count, impostor_fraction, got_rng)
+        got = sample_triplets(TripletMiner(reps, labels), count, impostor_fraction, got_rng)
     for g, w in zip(got, want):
         assert same_bytes(g, w)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
@@ -191,7 +191,7 @@ def test_sample_triplets_matches_full_sort_continuous(
     got_rng = np.random.default_rng(seed + 1)
     with np.errstate(all="ignore"):
         want = reference_sample_triplets(reps, labels, count, impostor_fraction, want_rng)
-        got = sample_triplets(reps, labels, count, impostor_fraction, got_rng)
+        got = sample_triplets(TripletMiner(reps, labels), count, impostor_fraction, got_rng)
     for g, w in zip(got, want):
         assert same_bytes(g, w)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state

@@ -1,0 +1,135 @@
+"""``build_report`` reuses the predictions of an eval at the last iteration.
+
+The reuse must not change a byte of the report: for every objective the
+report equals one built from freshly recomputed predictions. Each case where
+the last eval cannot serve (no eval at the last iteration, a resume that
+starts at the end, magnet's own report K-means seed, a model stepped or a
+variance changed after ``train()``) classifies again.
+"""
+
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+
+import magnetdml.training
+from magnetdml import Dataset, ExperimentConfig, generate_mixture
+from magnetdml.data import MixtureSpec, Mode
+from magnetdml.training import build_report, train
+
+from test_metrics_pin import COMMON, CONFIGS, pin_data
+
+
+def pin_config(objective, **overrides):
+    return ExperimentConfig(**{**COMMON, **CONFIGS[objective], **overrides})
+
+
+def fresh_report(config, result):
+    return build_report(config, dataclasses.replace(result, final_eval=None))
+
+
+def counted_predict(monkeypatch, result):
+    """Count the step's ``predict`` calls from here on."""
+    calls = []
+    predict = result.step.predict
+
+    def counting(*args):
+        calls.append(args)
+        return predict(*args)
+
+    monkeypatch.setattr(result.step, "predict", counting)
+    return calls
+
+
+@pytest.mark.parametrize("objective", sorted(CONFIGS))
+def test_report_equals_recomputed(objective):
+    config = pin_config(objective)
+    result = train(config, *pin_data())
+    assert (result.final_eval is None) == (objective == "magnet")
+    assert json.dumps(build_report(config, result)) == json.dumps(fresh_report(config, result))
+
+
+@pytest.mark.parametrize("objective", ["triplet", "nca"])
+def test_report_does_not_classify_again(objective, monkeypatch):
+    config = pin_config(objective)
+    result = train(config, *pin_data())
+    want = json.dumps(build_report(config, result))
+
+    def refuse(*args):
+        raise AssertionError("build_report classified the test split again")
+
+    monkeypatch.setattr(magnetdml.training, "classify_batch", refuse)
+    assert json.dumps(build_report(config, result)) == want
+
+
+def off_eval(config, tmp_path):
+    # the last eval is at iteration 99 of 110
+    return train(dataclasses.replace(config, iterations=110), *pin_data())
+
+
+def resumed_at_end(config, tmp_path):
+    train(config, *pin_data(), checkpoint_dir=tmp_path)
+    return train(config, *pin_data(), resume_from=tmp_path)
+
+
+def stepped_after_train(config, tmp_path):
+    result = train(config, *pin_data())
+    model = result.step.model
+    reps, trace = model.forward(result.train_data.inputs[:4])
+    model.sgd_step(model.backward(trace, np.ones_like(reps)), config.optimizer(), 0)
+    return result
+
+
+def sigma2_changed(config, tmp_path):
+    result = train(config, *pin_data())
+    return dataclasses.replace(result, sigma2=2.0 * result.sigma2)
+
+
+FALLBACKS = {f.__name__: f for f in (off_eval, resumed_at_end, stepped_after_train, sigma2_changed)}
+
+
+@pytest.mark.parametrize("objective", ["triplet", "softmax", "ncmc"])
+@pytest.mark.parametrize("case", sorted(FALLBACKS))
+def test_fallbacks_classify_again(objective, case, monkeypatch, tmp_path):
+    config = pin_config(objective)
+    result = FALLBACKS[case](config, tmp_path)
+    want = json.dumps(fresh_report(config, result))
+    calls = counted_predict(monkeypatch, result)
+    assert json.dumps(build_report(config, result)) == want
+    assert calls == [(result.sigma2, -1)]
+
+
+def test_magnet_report_classifies_again(monkeypatch):
+    config = pin_config("magnet")
+    result = train(config, *pin_data())
+    calls = counted_predict(monkeypatch, result)
+    build_report(config, result)
+    assert calls == [(result.sigma2, -1)]
+
+
+def test_resumed_report_matches_uninterrupted(tmp_path):
+    config = pin_config("triplet")
+    result = train(config, *pin_data(), checkpoint_dir=tmp_path)
+    resumed = train(config, *pin_data(), resume_from=tmp_path)
+    assert resumed.final_eval is None
+    assert json.dumps(build_report(config, resumed)) == json.dumps(build_report(config, result))
+
+
+@pytest.mark.parametrize("objective", ["nca", "softmax"])
+def test_confusion_matches_loop_with_a_class_train_lacks(objective):
+    spec = MixtureSpec(classes=[[Mode([3.0 * c, 0.0], 1.0, 30)] for c in range(3)])
+    full = generate_mixture(spec, seed=3)
+    # class 2 is only in the test split
+    train_data = Dataset(full.inputs[full.labels < 2][::2], full.labels[full.labels < 2][::2])
+    test_data = Dataset(full.inputs[1::2], full.labels[1::2])
+    config = ExperimentConfig(**{**COMMON, **CONFIGS[objective], "layer_dims": [2, 8, 4],
+                                 "iterations": 40})
+    result = train(config, train_data, test_data)
+    report = build_report(config, result)
+    preds = result.step.predict(result.sigma2, -1)
+    confusion = np.zeros((3, 3), dtype=int)
+    for t, p in zip(test_data.labels, preds):
+        confusion[int(t), int(p)] += 1
+    assert report["confusion"] == confusion.tolist()
+    assert sum(report["confusion"][2]) == np.count_nonzero(test_data.labels == 2)

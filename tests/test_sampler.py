@@ -4,6 +4,7 @@ import pytest
 from magnetdml import (
     Dataset,
     EmbeddingModel,
+    TripletMiner,
     build_index,
     sample_neighbourhood,
     sample_triplets,
@@ -28,31 +29,31 @@ def two_cluster_index():
 class TestSeedDistribution:
     def test_uniform_when_equal(self):
         idx, _ = two_cluster_index()
-        idx.update_loss_cache([(0, 2.0), (3, 2.0)])
+        idx.update_loss_cache([0, 3], [2.0, 2.0])
         assert np.allclose(seed_distribution(idx), [0.5, 0.5])
 
     def test_proportional(self):
         idx, _ = two_cluster_index()
-        idx.update_loss_cache([(0, 1.0), (3, 3.0)])
+        idx.update_loss_cache([0, 3], [1.0, 3.0])
         p = seed_distribution(idx)
         assert np.isclose(p[0], 0.25)  # row c·k + j of class c, cluster j
         assert np.isclose(p[1], 0.75)
 
     def test_zero_mass_cluster(self):
         idx, _ = two_cluster_index()
-        idx.update_loss_cache([(0, 0.0), (3, 2.0)])
+        idx.update_loss_cache([0, 3], [0.0, 2.0])
         p = seed_distribution(idx)
         assert p[0] == 0.0
         assert p[1] == 1.0
 
     def test_all_zero_falls_back_to_uniform(self):
         idx, _ = two_cluster_index()
-        idx.update_loss_cache([(i, 0.0) for i in range(6)])
+        idx.update_loss_cache(range(6), [0.0] * 6)
         assert np.allclose(seed_distribution(idx), [0.5, 0.5])
 
     def test_sums_to_one(self):
         idx, _ = two_cluster_index()
-        idx.update_loss_cache([(0, 0.3), (3, 1.7)])
+        idx.update_loss_cache([0, 3], [0.3, 1.7])
         assert np.isclose(seed_distribution(idx).sum(), 1.0)
 
 
@@ -109,7 +110,7 @@ class TestSampleNeighbourhood:
 
     def test_seed_frequencies_match_distribution(self):
         idx, ds = two_cluster_index()
-        idx.update_loss_cache([(0, 1.0), (3, 3.0)])
+        idx.update_loss_cache([0, 3], [1.0, 3.0])
         p = seed_distribution(idx)
         rng = np.random.default_rng(11)
         draws = 20_000
@@ -133,14 +134,14 @@ class TestSampleTriplets:
 
     def test_positive_never_seed(self):
         reps, labels = self.make_data()
-        s, p, n = sample_triplets(reps, labels, 200, impostor_fraction=1.0, rng=0)
+        s, p, n = sample_triplets(TripletMiner(reps, labels), 200, impostor_fraction=1.0, rng=0)
         assert (s != p).all()
         assert (labels[s] == labels[p]).all()
         assert (labels[s] != labels[n]).all()
 
     def test_fraction_one_uniform_negatives(self):
         reps, labels = self.make_data()
-        s, p, n = sample_triplets(reps, labels, 5000, impostor_fraction=1.0, rng=1)
+        s, p, n = sample_triplets(TripletMiner(reps, labels), 5000, impostor_fraction=1.0, rng=1)
         # every other-class example should appear as a negative
         for c in (0, 1):
             negs = set(n[labels[s] == c])
@@ -151,7 +152,7 @@ class TestSampleTriplets:
         # nearest other-class example
         reps = np.array([[0.0], [1.0], [0.2], [5.0]])
         labels = np.array([0, 0, 1, 1])
-        s, p, n = sample_triplets(reps, labels, 50, impostor_fraction=0.5, rng=2)
+        s, p, n = sample_triplets(TripletMiner(reps, labels), 50, impostor_fraction=0.5, rng=2)
         for t in range(50):
             others = np.flatnonzero(labels != labels[s[t]])
             d = np.abs(reps[others, 0] - reps[s[t], 0])
@@ -159,10 +160,10 @@ class TestSampleTriplets:
 
     def test_deterministic(self):
         reps, labels = self.make_data()
-        a = sample_triplets(reps, labels, 10, impostor_fraction=0.5, rng=9)
-        b = sample_triplets(reps, labels, 10, impostor_fraction=0.5, rng=9)
+        a = sample_triplets(TripletMiner(reps, labels), 10, impostor_fraction=0.5, rng=9)
+        b = sample_triplets(TripletMiner(reps, labels), 10, impostor_fraction=0.5, rng=9)
         assert all((x == y).all() for x, y in zip(a, b))
 
     def test_single_class_rejected(self):
         with pytest.raises(ConfigurationError):
-            sample_triplets(np.zeros((3, 1)), np.zeros(3, dtype=int), 2, 1.0, rng=0)
+            sample_triplets(TripletMiner(np.zeros((3, 1)), np.zeros(3, dtype=int)), 2, 1.0, rng=0)
