@@ -17,10 +17,13 @@ then serves the report.
 
 Resume contract: any state the loop writes resumes byte for byte, under the
 config it was saved with; only ``iterations`` may differ, and not fall below
-the saved iteration. A state saved at iteration t holds the config, the model
-and velocities, the rng before any draw of iteration t and the metrics; off a
-refresh boundary it also holds the snapshot parameters and seed of the refresh
-in force, which resume rebuilds. ``train(resume_from=dir)`` restores it in place.
+the saved iteration. A state is the one file ``training_state.json``; the
+``checkpoint.bin`` written after it is an export for ``eval`` that resume
+never reads. A state saved at iteration t holds the config, the model and
+velocities, the rng before any draw of iteration t and the t metrics rows;
+off a refresh boundary it also holds the snapshot parameters and seed of the
+refresh in force, which resume rebuilds. ``train(resume_from=dir)`` restores
+it in place.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ import base64
 import binascii
 import csv
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -210,8 +212,11 @@ class _MagnetStep(_Step):
             raise ConfigurationError(
                 f"the saved loss cache has {len(cache)} entries, the training set "
                 f"has {len(self.loss_cache)} examples")
+        sigma2 = raw["sigma2"]
+        if sigma2 is not None and not (type(sigma2) is float and 0 < sigma2 < math.inf):
+            raise ValueError(f"'sigma2' = {sigma2!r} is not null or a positive finite float")
         self.loss_cache[...] = cache
-        self.sigma.value = None if raw["sigma2"] is None else float(raw["sigma2"])
+        self.sigma.value = sigma2
 
 
 class _TripletStep(_Step):
@@ -275,11 +280,10 @@ class _SoftmaxStep(_Step):
         return self.head.logits(self.model.embed(self.test_data.inputs)).argmax(axis=1)
 
     def state(self) -> dict:
-        return {"head": {k: v.tolist() for k, v in vars(self.head).items()}}
+        return {"head": {k: _pack(v) for k, v in vars(self.head).items()}}
 
     def resume(self, raw):
-        _copy_saved(list(vars(self.head).values()), [raw["head"][k] for k in vars(self.head)],
-                    "head arrays")
+        _restore(list(vars(self.head).values()), [raw["head"][k] for k in vars(self.head)], "head")
 
 
 class _NcmStep(_Step):
@@ -398,14 +402,16 @@ def bench(
 
 # -- resumable training state ------------------------------------------------
 
+_MODEL_ARRAYS = ("weights", "biases", "w_velocity", "b_velocity")
+
+
 def _save_training_state(outdir, step, rng, iteration, metrics, refreshed):
-    """Write ``checkpoint.bin`` and ``training_state.json``, each through a
-    temporary file and ``os.replace``. The state records the checkpoint's
-    SHA-256, so a kill between the two writes leaves a pair that fails to load."""
+    """Write ``training_state.json``, the resume point, then ``checkpoint.bin``,
+    an export for ``eval``, each through a temporary file and ``os.replace``. A
+    kill between the writes leaves a whole state beside an older export."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     model = step.model
-    checkpoint = model.to_bytes()
     state = {
         "config": dataclasses.asdict(step.config),
         "iteration": iteration,
@@ -413,17 +419,15 @@ def _save_training_state(outdir, step, rng, iteration, metrics, refreshed):
         "metrics": _pack(np.array(
             [(r.iteration, r.train_loss, np.nan if r.val_error is None else r.val_error)
              for r in metrics], dtype=np.float64).reshape(-1, 3)),
-        "w_velocity": [_pack(v) for v in model.w_velocity],
-        "b_velocity": [_pack(v) for v in model.b_velocity],
+        **{key: [_pack(a) for a in getattr(model, key)] for key in _MODEL_ARRAYS},
         # on a refresh boundary, resume refreshes afresh
         "refresh": None if refreshed is None or iteration % step.config.refresh_interval == 0
-        else {"iteration": refreshed[0], "params": refreshed[1].get_flat_params().tolist(),
+        else {"iteration": refreshed[0], "params": _pack(refreshed[1].get_flat_params()),
               "seed": refreshed[2]},
         **step.state(),
-        "checkpoint_sha256": hashlib.sha256(checkpoint).hexdigest(),
     }
-    for name, data in (("checkpoint.bin", checkpoint),
-                       ("training_state.json", json.dumps(state).encode())):
+    for name, data in (("training_state.json", json.dumps(state).encode()),
+                       ("checkpoint.bin", model.to_bytes())):
         tmp = outdir / (name + ".tmp")
         tmp.write_bytes(data)
         os.replace(tmp, outdir / name)
@@ -431,56 +435,55 @@ def _save_training_state(outdir, step, rng, iteration, metrics, refreshed):
 
 def _load_training_state(outdir, step, rng) -> Tuple[int, List[MetricsRow], Optional[tuple]]:
     """Restore a state written by :func:`_save_training_state` into ``step``
-    and ``rng`` in place; return ``(iteration, metrics, refresh)``. A malformed
-    file, a missing key, an array that is not a whole blob (a state in the
-    old list format included), a refresh record that no run writes or a
-    mismatched checkpoint is a ``ParseError``; a state the config cannot
-    continue, a ``ConfigurationError`` naming both values."""
+    and ``rng`` in place; return ``(iteration, metrics, refresh)``. Only
+    ``training_state.json`` is read. A malformed file, a missing key, an
+    array that is not a whole blob of the expected shape (a state in the old
+    list format included), a non-finite model array, an iteration that is not
+    an int at or above 0, metrics other than one row per iteration before it
+    or a refresh record that no run writes is a ``ParseError``; a state the
+    config cannot continue, a ``ConfigurationError`` naming both values."""
     outdir, config, model = Path(outdir), step.config, step.model
     try:
-        saved = EmbeddingModel.load(outdir / "checkpoint.bin")
         raw = json.loads((outdir / "training_state.json").read_text())
-        digest = hashlib.sha256((outdir / "checkpoint.bin").read_bytes()).hexdigest()
-        if raw["checkpoint_sha256"] != digest:
-            raise ValueError("checkpoint.bin is not the checkpoint the state was saved with")
-        iteration = int(raw["iteration"])
+        iteration = raw["iteration"]
+        if type(iteration) is not int or iteration < 0:
+            raise ValueError(f"'iteration' = {iteration!r} is not an int at or above 0")
         if iteration > config.iterations:
             raise ConfigurationError(
                 f"the saved state is at iteration {iteration}, past the "
                 f"config's iterations = {config.iterations}")
-        if saved.layer_dims != model.layer_dims:
+        shapes = [_unpack(w, "weights").shape for w in raw["weights"]]
+        saved_dims = [shapes[0][1]] + [s[0] for s in shapes]
+        if saved_dims != model.layer_dims:
             raise ConfigurationError(
-                f"the saved model has layers {saved.layer_dims}, the config's model "
+                f"the saved model has layers {saved_dims}, the config's model "
                 f"has {model.layer_dims}")
         for name, value in dataclasses.asdict(config).items():
             if name != "iterations" and raw["config"][name] != value:
                 raise ConfigurationError(
                     f"the saved state has {name} = {raw['config'][name]!r}, "
                     f"the config has {name} = {value!r}")
-        model.set_flat_params(saved.get_flat_params())
-        velocities = [_unpack(v, "w_velocity") for v in raw["w_velocity"]]
-        velocities += [_unpack(v, "b_velocity") for v in raw["b_velocity"]]
-        _copy_saved(model.w_velocity + model.b_velocity, velocities, "velocities")
+        for key in _MODEL_ARRAYS:
+            _restore(getattr(model, key), raw[key], key)
         rng.bit_generator.state = raw["rng_state"]
         step.resume(raw)
         refresh = raw["refresh"]
         _check_refresh(refresh, iteration, config.refresh_interval, step.seeded)
         if refresh is not None:
-            params = np.asarray(refresh["params"], dtype=np.float64)
-            if params.shape != (model.get_flat_params().size,) or not np.isfinite(params).all():
-                raise ValueError("'refresh.params' is not a finite parameter vector of the model")
             snapshot = model.snapshot()
-            snapshot.set_flat_params(params)
+            flat = snapshot.get_flat_params()
+            _restore([flat], [refresh["params"]], "refresh.params")
+            snapshot.set_flat_params(flat)
             refresh = (refresh["iteration"], snapshot, refresh["seed"])
-        rows = _unpack(raw["metrics"], "metrics")
-        if rows.ndim != 2 or rows.shape[1] != 3:
-            raise ValueError(f"'metrics' has shape {rows.shape}, not (rows, 3)")
+        rows = _unpack(raw["metrics"], "metrics", (iteration, 3))
+        if not np.array_equal(rows[:, 0], np.arange(iteration)):
+            raise ValueError(f"'metrics' rows are not iterations 0 to {iteration - 1}")
         metrics = [MetricsRow(int(it), float(loss), None if np.isnan(err) else float(err))
                    for it, loss, err in rows]
         return iteration, metrics, refresh
     except ConfigurationError:
         raise
-    except (KeyError, TypeError, ValueError, ContractError) as exc:
+    except (LookupError, TypeError, ValueError, ContractError) as exc:
         raise ParseError(f"{outdir}: bad training state: {exc}") from exc
 
 
@@ -511,8 +514,9 @@ def _pack(array) -> dict:
     return {"shape": list(array.shape), "f8": base64.b64encode(array.tobytes()).decode("ascii")}
 
 
-def _unpack(blob, key) -> np.ndarray:
-    """The array :func:`_pack` wrote; a blob of any other form is a ValueError."""
+def _unpack(blob, key, expected=None) -> np.ndarray:
+    """The array :func:`_pack` wrote, of shape ``expected`` if one is given; a
+    blob of any other form is a ValueError."""
     if isinstance(blob, list):
         raise ValueError(f"{key!r} is a JSON list: the state is in the old list format, "
                          "which this version no longer reads")
@@ -521,6 +525,8 @@ def _unpack(blob, key) -> np.ndarray:
     shape = blob["shape"]
     if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
         raise ValueError(f"{key!r} has a bad shape {shape!r}")
+    if expected is not None and tuple(shape) != tuple(expected):
+        raise ValueError(f"{key!r} has shape {tuple(shape)}, not {tuple(expected)}")
     try:
         data = base64.b64decode(blob["f8"], validate=True)
     except binascii.Error as exc:
@@ -531,10 +537,12 @@ def _unpack(blob, key) -> np.ndarray:
     return np.frombuffer(data, dtype="<f8").reshape(shape)
 
 
-def _copy_saved(arrays, saved, what):
-    """Copy saved values into ``arrays`` in place; any other shape is a ValueError."""
-    saved = [np.asarray(v, dtype=np.float64) for v in saved]
-    if [v.shape for v in saved] != [a.shape for a in arrays]:
-        raise ValueError(f"the saved {what} do not match the model")
-    for a, v in zip(arrays, saved):
-        a[...] = v
+def _restore(arrays, blobs, key):
+    """Copy a list of blobs into ``arrays`` in place; a list of another length,
+    a blob of another shape or a non-finite value is a ValueError."""
+    if not isinstance(blobs, list) or len(blobs) != len(arrays):
+        raise ValueError(f"{key!r} is not a list of {len(arrays)} arrays")
+    for a, blob in zip(arrays, blobs):
+        a[...] = _unpack(blob, key, a.shape)
+        if not np.isfinite(a).all():
+            raise ValueError(f"{key!r} holds a non-finite value")

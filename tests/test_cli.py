@@ -1,3 +1,4 @@
+import base64
 import csv
 import json
 
@@ -188,7 +189,8 @@ class TestTrain:
         assert (out_res / "metrics.csv").read_bytes() == (out_full / "metrics.csv").read_bytes()
         assert (out_res / "checkpoint.bin").read_bytes() == (out_full / "checkpoint.bin").read_bytes()
 
-    @pytest.mark.parametrize("name", ["training_state.json", "checkpoint.bin"])
+    # a truncated checkpoint.bin resumes: see test_resume_ignores_the_exported_checkpoint
+    @pytest.mark.parametrize("name", ["training_state.json"])
     def test_resume_from_truncated_state_errors(self, tmp_path, capsys, name):
         config = write_config(tmp_path, iterations=30)
         outdir = tmp_path / "out"
@@ -207,7 +209,11 @@ class TestTrain:
         path = outdir / "training_state.json"
         state = json.loads(path.read_text())
         for key in ("w", "w_velocity"):
-            state["head"][key] = [row[:-1] for row in state["head"][key]]
+            blob = state["head"][key]
+            rows, cols = blob["shape"]
+            data = np.frombuffer(base64.b64decode(blob["f8"]), dtype="<f8").reshape(rows, cols)
+            blob.update(shape=[rows, cols - 1],
+                        f8=base64.b64encode(data[:, :-1].tobytes()).decode())
         path.write_text(json.dumps(state))
         capsys.readouterr()
         assert main(["train", str(config), str(tmp_path / "res"), "--resume", str(outdir)]) == 1

@@ -3,7 +3,8 @@
 Each case trains 60 iterations with a refresh every 20, once without a stop
 and once halted at 40 (a refresh boundary) or 50 (inside a refresh window)
 and resumed to 60. The resumed metrics.csv and weights must equal those of
-the uninterrupted run byte for byte. A state the config cannot continue
+the uninterrupted run byte for byte, whatever became of the exported
+checkpoint.bin, which resume never reads. A state the config cannot continue
 (past its iterations, a model of other layer sizes, any other config field
 but ``iterations``, or a training set other than the saved loss cache's) is
 rejected.
@@ -41,13 +42,21 @@ def test_resume_matches_uninterrupted(objective, halt, tmp_path):
     assert run(config, tmp_path / "resumed", resume_from=tmp_path / "half") == full
 
 
-def test_mismatched_pair_rejected(tmp_path):
-    config = ExperimentConfig(**{**COMMON, **CONFIGS["magnet"], "iterations": 10})
-    run(config, tmp_path / "a")
-    run(dataclasses.replace(config, iterations=20), tmp_path / "b")
-    (tmp_path / "a" / "checkpoint.bin").write_bytes((tmp_path / "b" / "checkpoint.bin").read_bytes())
-    with pytest.raises(ParseError, match="checkpoint"):
-        train(config, *pin_data(), resume_from=tmp_path / "a")
+EXPORT_EDITS = {
+    "other-run": lambda path, other: path.write_bytes(other.read_bytes()),
+    "deleted": lambda path, other: path.unlink(),
+    "truncated": lambda path, other: path.write_bytes(path.read_bytes()[:40]),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(EXPORT_EDITS))
+def test_resume_ignores_the_exported_checkpoint(edit, tmp_path):
+    # checkpoint.bin is an export for eval; resume reads only the state
+    config = ExperimentConfig(**{**COMMON, **CONFIGS["magnet"], "iterations": 20})
+    full = run(config, tmp_path / "full")
+    run(dataclasses.replace(config, iterations=10), tmp_path / "half")
+    EXPORT_EDITS[edit](tmp_path / "half" / "checkpoint.bin", tmp_path / "full" / "checkpoint.bin")
+    assert run(config, tmp_path / "resumed", resume_from=tmp_path / "half") == full
 
 
 def test_missing_key_rejected(tmp_path):

@@ -1,10 +1,13 @@
 """The binary arrays of ``training_state.json`` and the checks on resume.
 
-The loss cache, the velocities and the metrics rows are stored as base64 of
-little-endian float64 with their shape; the refresh record stays JSON. A
-state in the old list format, a truncated or non-base64 blob and a refresh
-record that no run writes all fail to load with a ``ParseError``, which the
-command line reports as an ``error:`` line with exit status 1.
+Every array of the state (the model's weights and biases, the velocities,
+the magnet loss cache, the softmax head, the metrics rows and the refresh
+record's parameters) is stored as base64 of little-endian float64 with its
+shape; the rest stays JSON. A state in the old list format, a state without
+the model, a truncated, non-base64 or misshapen blob, an iteration or
+metrics that disagree, a bad magnet ``sigma2`` and a refresh record that no
+run writes all fail to load with a ``ParseError``, which the command line
+reports as an ``error:`` line with exit status 1.
 """
 
 import base64
@@ -37,11 +40,18 @@ def decode(blob):
     return data.reshape(blob["shape"])
 
 
+def encode(array):
+    array = np.asarray(array, dtype="<f8")
+    return {"shape": list(array.shape), "f8": base64.b64encode(array.tobytes()).decode()}
+
+
 def as_lists(state, key):
     """The state with ``key`` in the list form written before the arrays
     became blobs: NaN as null in the loss cache and in ``val_error``."""
-    if key in ("w_velocity", "b_velocity"):
+    if key in ("weights", "biases", "w_velocity", "b_velocity"):
         state[key] = [decode(v).tolist() for v in state[key]]
+    elif key == "head":
+        state[key] = {k: decode(v).tolist() for k, v in state[key].items()}
     else:
         state[key] = [None if np.isnan(v) else v for v in decode(state[key]).ravel().tolist()]
         if key == "metrics":
@@ -66,18 +76,43 @@ def test_arrays_round_trip(tmp_path):
     assert metrics.shape == (50, 3)
     assert metrics[:, 0].tolist() == list(range(50))
     assert np.isnan(metrics[:, 2]).sum() == 50 - 50 // config.eval_interval
-    assert [v["shape"] for v in state["w_velocity"]] == [[16, 4], [8, 16]]
-    assert isinstance(state["refresh"]["params"], list)
+    for key in ("weights", "w_velocity"):
+        assert [v["shape"] for v in state[key]] == [[16, 4], [8, 16]]
+    for key in ("biases", "b_velocity"):
+        assert [v["shape"] for v in state[key]] == [[16], [8]]
+    weights = [decode(w) for w in state["weights"]] + [decode(b) for b in state["biases"]]
+    params = decode(state["refresh"]["params"])
+    assert params.shape == (sum(a.size for a in weights),)
+    assert not np.array_equal(params, np.concatenate([a.ravel() for a in weights]))
 
 
-KEYS = ["loss_cache", "w_velocity", "b_velocity", "metrics"]
+def test_softmax_head_round_trip(tmp_path):
+    config, path = saved_state(tmp_path, objective="softmax")
+    head = json.loads(path.read_text())["head"]
+    shapes = {"w": [4, 8], "b": [4], "w_velocity": [4, 8], "b_velocity": [4]}
+    assert {k: v["shape"] for k, v in head.items()} == shapes
+    assert all(np.isfinite(decode(v)).all() for v in head.values())
+
+
+KEYS = ["loss_cache", "weights", "biases", "w_velocity", "b_velocity", "head", "metrics"]
+# the objective whose state holds the key
+OBJECTIVE = {"head": "softmax"}
 
 
 @pytest.mark.parametrize("keys", [[k] for k in KEYS] + [KEYS], ids=KEYS + ["all"])
 def test_old_list_format_rejected(keys, tmp_path):
-    config, path = saved_state(tmp_path)
-    rewrite(path, lambda state: [as_lists(state, k) for k in keys])
+    config, path = saved_state(tmp_path, OBJECTIVE.get(keys[0], "magnet"))
+    rewrite(path, lambda state: [as_lists(state, k) for k in keys if k in state])
     with pytest.raises(ParseError, match="old list format"):
+        train(config, *pin_data(), resume_from=tmp_path)
+
+
+def test_state_without_the_model_rejected(tmp_path):
+    # as in a state written when checkpoint.bin held the model
+    config, path = saved_state(tmp_path)
+    rewrite(path, lambda state: [state.pop("weights"), state.pop("biases"),
+                                 state.update(checkpoint_sha256="0" * 64)])
+    with pytest.raises(ParseError, match="'weights'"):
         train(config, *pin_data(), resume_from=tmp_path)
 
 
@@ -98,16 +133,20 @@ CORRUPTIONS = {"truncated": truncate, "truncated-quads": truncate_whole_quads,
                "not-base64": not_base64}
 BLOBS = {
     "loss_cache": lambda state: state["loss_cache"],
+    "weights": lambda state: state["weights"][-1],
+    "biases": lambda state: state["biases"][0],
     "w_velocity": lambda state: state["w_velocity"][0],
     "b_velocity": lambda state: state["b_velocity"][-1],
+    "head": lambda state: state["head"]["w"],
     "metrics": lambda state: state["metrics"],
+    "refresh.params": lambda state: state["refresh"]["params"],
 }
 
 
 @pytest.mark.parametrize("corrupt", sorted(CORRUPTIONS))
 @pytest.mark.parametrize("key", sorted(BLOBS))
 def test_corrupt_blob_rejected(key, corrupt, tmp_path):
-    config, path = saved_state(tmp_path)
+    config, path = saved_state(tmp_path, OBJECTIVE.get(key, "magnet"))
     rewrite(path, lambda state: CORRUPTIONS[corrupt](BLOBS[key](state)))
     with pytest.raises(ParseError, match=key):
         train(config, *pin_data(), resume_from=tmp_path)
@@ -127,7 +166,7 @@ def resume_cli(tmp_path, capsys, edit, objective="magnet"):
 
 
 @pytest.mark.parametrize("corrupt", sorted(CORRUPTIONS))
-@pytest.mark.parametrize("key", ["loss_cache", "w_velocity", "b_velocity"])
+@pytest.mark.parametrize("key", ["loss_cache", "weights", "w_velocity", "b_velocity"])
 def test_cli_resume_from_corrupt_blob_errors(key, corrupt, tmp_path, capsys):
     status, err = resume_cli(tmp_path, capsys,
                              lambda state: CORRUPTIONS[corrupt](BLOBS[key](state)))
@@ -137,7 +176,7 @@ def test_cli_resume_from_corrupt_blob_errors(key, corrupt, tmp_path, capsys):
 
 def test_cli_resume_from_old_list_format_errors(tmp_path, capsys):
     status, err = resume_cli(tmp_path, capsys,
-                             lambda state: [as_lists(state, k) for k in KEYS])
+                             lambda state: [as_lists(state, k) for k in KEYS if k in state])
     assert status == 1
     assert err.startswith("error:") and "old list format" in err
 
@@ -162,7 +201,8 @@ BAD_REFRESH = {
     "iteration-past-saved": ("magnet", set_refresh("iteration", 60)),
     "iteration-earlier-boundary": ("magnet", set_refresh("iteration", 20)),
     "iteration-text": ("magnet", set_refresh("iteration", "40")),
-    "params-short": ("magnet", lambda state: state["refresh"]["params"].pop()),
+    "params-short": ("magnet", lambda state: state["refresh"].update(
+        params=encode(decode(state["refresh"]["params"])[:-1]))),
     "params-null": ("magnet", set_refresh("params", None)),
     "null-off-boundary": ("magnet", lambda state: state.update(refresh=None)),
 }
@@ -177,8 +217,62 @@ def test_cli_resume_from_bad_refresh_record_errors(case, tmp_path, capsys):
     assert not (tmp_path / "res" / "metrics.csv").exists()
 
 
+def poison(key):
+    """An edit that makes the first value of the ``key`` blob NaN."""
+    def edit(state):
+        blob = BLOBS[key](state)
+        values = decode(blob).copy()
+        values.flat[0] = np.nan
+        blob.update(encode(values))
+    return edit
+
+
 def test_non_finite_refresh_params_rejected(tmp_path):
     config, path = saved_state(tmp_path)
-    rewrite(path, lambda state: state["refresh"]["params"].__setitem__(0, float("nan")))
+    rewrite(path, poison("refresh.params"))
     with pytest.raises(ParseError, match="refresh.params"):
+        train(config, *pin_data(), resume_from=tmp_path)
+
+
+def renumber_metrics(state):
+    rows = decode(state["metrics"]).copy()
+    rows[:, 0] += 1
+    state["metrics"] = encode(rows)
+
+
+# each used to resume, into metrics.csv rows that skip or repeat iterations:
+# 30 rows jumped from iteration 29 to 50; 49.7 was truncated to 49 and gave 61
+# rows for 60 iterations
+BAD_PROGRESS = {
+    "metrics-cut": ("metrics", lambda state: state.update(
+        metrics=encode(decode(state["metrics"])[:30]))),
+    "metrics-renumbered": ("metrics", renumber_metrics),
+    "iteration-fraction": ("iteration", lambda state: state.update(iteration=49.7)),
+    "iteration-text": ("iteration", lambda state: state.update(iteration="50")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PROGRESS))
+def test_iteration_and_metrics_that_disagree_rejected(case, tmp_path):
+    key, edit = BAD_PROGRESS[case]
+    config, path = saved_state(tmp_path)
+    rewrite(path, edit)
+    with pytest.raises(ParseError, match=f"'{key}'"):
+        train(config, *pin_data(), resume_from=tmp_path)
+
+
+# NaN trained on and failed at the first eval, naming no state; 0.0 resumed
+@pytest.mark.parametrize("sigma2", [float("nan"), float("inf"), 0.0, -1.0, "0.5"])
+def test_bad_magnet_sigma2_rejected(sigma2, tmp_path):
+    config, path = saved_state(tmp_path)
+    rewrite(path, lambda state: state.update(sigma2=sigma2))
+    with pytest.raises(ParseError, match="'sigma2'"):
+        train(config, *pin_data(), resume_from=tmp_path)
+
+
+@pytest.mark.parametrize("key", ["weights", "biases", "w_velocity", "b_velocity", "head"])
+def test_non_finite_model_array_rejected(key, tmp_path):
+    config, path = saved_state(tmp_path, OBJECTIVE.get(key, "magnet"))
+    rewrite(path, poison(key))
+    with pytest.raises(ParseError, match=f"'{key}' holds a non-finite value"):
         train(config, *pin_data(), resume_from=tmp_path)
