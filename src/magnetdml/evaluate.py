@@ -70,14 +70,31 @@ def reference_sigma2(reps, labels) -> float:
 
 def _stable_nearest(d2: np.ndarray, l: int) -> np.ndarray:
     """``np.argsort(d2, axis=1, kind="stable")[:, :l]``, sorting only a
-    partitioned block of l columns. Rows whose l-th value is NaN or tied with
-    a column outside the block are sorted in full."""
+    partitioned block of l columns.
+
+    ``np.argpartition(d2, l)`` puts each row's (l+1)-th smallest value at
+    column l (NaN sorts last) and no larger value before it, so the first l
+    columns hold l values no larger than it. When the largest of them, the
+    row's l-th smallest, is not NaN and lies strictly below the value at
+    column l (or that value is NaN, so everything outside the block is NaN),
+    the block is the row's l smallest values and every other column is
+    larger. When those l values are also distinct, any sort of the block
+    orders them as the stable sort of the row does, since the stable order
+    differs only among equal values. Every other row (its l-th value NaN, tied
+    with or above the value at column l, or two equal values in the block)
+    is sorted in full."""
     if not 0 < l < d2.shape[1]:
         return np.argsort(d2, axis=1, kind="stable")[:, :l]
-    block = np.sort(np.argpartition(d2, l - 1, axis=1)[:, :l], axis=1)
+    part = np.argpartition(d2, l, axis=1)
+    block = part[:, :l]
     values = np.take_along_axis(d2, block, axis=1)
-    nearest = np.take_along_axis(block, np.argsort(values, axis=1, kind="stable"), axis=1)
-    redo = np.flatnonzero((d2 <= values.max(axis=1, keepdims=True)).sum(axis=1) != l)
+    order = np.argsort(values, axis=1)
+    nearest = np.take_along_axis(block, order, axis=1)
+    values = np.take_along_axis(values, order, axis=1)
+    last, after = values[:, -1], np.take_along_axis(d2, part[:, l:l + 1], axis=1)[:, 0]
+    exact = (last < after) | (np.isnan(after) & ~np.isnan(last))
+    exact &= ~(values[:, 1:] == values[:, :-1]).any(axis=1)
+    redo = np.flatnonzero(~exact)
     nearest[redo] = np.argsort(d2[redo], axis=1, kind="stable")[:, :l]
     return nearest
 

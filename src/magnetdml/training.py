@@ -11,9 +11,8 @@ what derives from the snapshot (magnet index, triplet miner);
 ``predict(sigma2, iteration)`` classifies the test split for the eval rows and
 the report; ``sigma2()`` is the report variance; ``state()`` adds its own keys
 to ``training_state.json`` and ``resume(raw)`` copies them into its own arrays.
-``report_reuses_eval`` is set when an eval's ``predict(None, it)`` classifies
-as the report's ``predict(sigma2(), -1)`` does; an eval at the last iteration
-then serves the report.
+The report classifies as an eval at the last iteration does, so such an eval
+serves it.
 
 Resume contract: any state the loop writes resumes byte for byte, under the
 config it was saved with; only ``iterations`` may differ, and not fall below
@@ -29,7 +28,6 @@ it in place.
 from __future__ import annotations
 
 import base64
-import binascii
 import csv
 import dataclasses
 import json
@@ -121,7 +119,7 @@ def train(
         if (it + 1) % config.eval_interval == 0:
             preds = step.predict(None, it)
             row.val_error = error_rate(preds, test_data.labels)
-            if it + 1 == config.iterations and step.report_reuses_eval:
+            if it + 1 == config.iterations:
                 final_preds = preds
         metrics.append(row)
 
@@ -139,7 +137,6 @@ class _Step:
 
     seeded = False  # refresh takes an index seed drawn from the training rng
     metric = "soft_knn"
-    report_reuses_eval = True
 
     def __init__(self, config, train_data, test_data, model=None):
         self.config, self.train_data, self.test_data = config, train_data, test_data
@@ -170,7 +167,6 @@ class _Step:
 class _MagnetStep(_Step):
     seeded = True
     metric = "knc"
-    report_reuses_eval = False  # the report's K-means draws a seed of its own
 
     def __init__(self, config, train_data, test_data):
         super().__init__(config, train_data, test_data)
@@ -201,7 +197,9 @@ class _MagnetStep(_Step):
 
     def sigma2(self) -> float:
         # before any minibatch: the variance of the index the report builds
-        return self.context(None, -1).sigma2 if self.sigma.value is None else self.sigma.value
+        if self.sigma.value is None:
+            return self.context(None, self.config.iterations - 1).sigma2
+        return self.sigma.value
 
     def state(self) -> dict:
         return {"sigma2": self.sigma.value, "loss_cache": _pack(self.loss_cache)}
@@ -212,6 +210,8 @@ class _MagnetStep(_Step):
             raise ConfigurationError(
                 f"the saved loss cache has {len(cache)} entries, the training set "
                 f"has {len(self.loss_cache)} examples")
+        if not (np.isnan(cache) | (cache >= 0) & (cache < np.inf)).all():
+            raise ValueError("'loss_cache' holds a value that is not NaN or finite and >= 0")
         sigma2 = raw["sigma2"]
         if sigma2 is not None and not (type(sigma2) is float and 0 < sigma2 < math.inf):
             raise ValueError(f"'sigma2' = {sigma2!r} is not null or a positive finite float")
@@ -323,14 +323,15 @@ _STEPS = {
 
 def build_report(config: ExperimentConfig, result: TrainResult) -> dict:
     """Evaluation report: error rate, confusion counts, optional extras. The
-    predictions of an eval at the last iteration are reused while the model
-    and ``result.sigma2`` are those they were made with."""
+    test split is classified as an eval at the last iteration classifies it,
+    and the predictions of such an eval are reused while the model and
+    ``result.sigma2`` are those they were made with."""
     train_data, test_data = result.train_data, result.test_data
     reused = result.final_eval
     if reused is not None and reused[:2] == (result.step.model.version, result.sigma2):
         preds = reused[2]
     else:
-        preds = result.step.predict(result.sigma2, -1)
+        preds = result.step.predict(result.sigma2, config.iterations - 1)
     c = max(train_data.class_count, test_data.class_count)
     confusion = np.zeros((c, c), dtype=int)
     np.add.at(confusion, (test_data.labels, preds), 1)
@@ -439,9 +440,11 @@ def _load_training_state(outdir, step, rng) -> Tuple[int, List[MetricsRow], Opti
     ``training_state.json`` is read. A malformed file, a missing key, an
     array that is not a whole blob of the expected shape (a state in the old
     list format included), a non-finite model array, an iteration that is not
-    an int at or above 0, metrics other than one row per iteration before it
-    or a refresh record that no run writes is a ``ParseError``; a state the
-    config cannot continue, a ``ConfigurationError`` naming both values."""
+    an int at or above 0, metrics other than one row per iteration before it,
+    a non-finite ``train_loss``, a ``val_error`` that is neither NaN nor in
+    [0, 1], an rng state the generator refuses or a refresh record that no run
+    writes is a ``ParseError``; a state the config cannot continue, a
+    ``ConfigurationError`` naming both values."""
     outdir, config, model = Path(outdir), step.config, step.model
     try:
         raw = json.loads((outdir / "training_state.json").read_text())
@@ -478,12 +481,16 @@ def _load_training_state(outdir, step, rng) -> Tuple[int, List[MetricsRow], Opti
         rows = _unpack(raw["metrics"], "metrics", (iteration, 3))
         if not np.array_equal(rows[:, 0], np.arange(iteration)):
             raise ValueError(f"'metrics' rows are not iterations 0 to {iteration - 1}")
+        if not np.isfinite(rows[:, 1]).all():
+            raise ValueError("'metrics' holds a train_loss that is not finite")
+        if not (np.isnan(rows[:, 2]) | (rows[:, 2] >= 0) & (rows[:, 2] <= 1)).all():
+            raise ValueError("'metrics' holds a val_error that is not NaN or in [0, 1]")
         metrics = [MetricsRow(int(it), float(loss), None if np.isnan(err) else float(err))
                    for it, loss, err in rows]
         return iteration, metrics, refresh
     except ConfigurationError:
         raise
-    except (LookupError, TypeError, ValueError, ContractError) as exc:
+    except (LookupError, TypeError, ValueError, OverflowError, ContractError) as exc:
         raise ParseError(f"{outdir}: bad training state: {exc}") from exc
 
 
@@ -527,9 +534,12 @@ def _unpack(blob, key, expected=None) -> np.ndarray:
         raise ValueError(f"{key!r} has a bad shape {shape!r}")
     if expected is not None and tuple(shape) != tuple(expected):
         raise ValueError(f"{key!r} has shape {tuple(shape)}, not {tuple(expected)}")
+    f8 = blob.get("f8")
+    if not isinstance(f8, str):
+        raise ValueError(f"{key!r} has an 'f8' of {f8!r}, not a base64 string")
     try:
-        data = base64.b64decode(blob["f8"], validate=True)
-    except binascii.Error as exc:
+        data = base64.b64decode(f8, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character outside ASCII
         raise ValueError(f"{key!r} is not base64: {exc}") from exc
     if len(data) != 8 * math.prod(shape):
         raise ValueError(f"{key!r} holds {len(data)} bytes, its shape {shape} needs "

@@ -13,7 +13,7 @@ from magnetdml import (
     hierarchy_recovery_eval,
 )
 from magnetdml.errors import ConfigurationError, ContractError
-from magnetdml.evaluate import _finite_scores
+from magnetdml.evaluate import _finite_scores, _stable_nearest
 from magnetdml.losses import NcmModel, ncm_classify
 
 
@@ -129,6 +129,40 @@ def test_scoring_holds_one_distance_product():
     finally:
         tracemalloc.stop()
     assert peak <= 1.2 * 900 * 3600 * 8
+
+
+
+def ranked_rows(edit, rows=8, cols=50, seed=0):
+    """Rows holding 0..cols-1 in shuffled columns, passed through ``edit``."""
+    rng = np.random.default_rng(seed)
+    return edit(np.stack([rng.permutation(cols) for _ in range(rows)]).astype(np.float64))
+
+
+L_NEAREST = 20
+# each edit makes every row one that the partitioned block alone cannot order
+NEAREST_CASES = {
+    # the l-th and (l+1)-th smallest are equal: the lower index is nearer
+    "tie-at-boundary": lambda d2: np.where(d2 == L_NEAREST, L_NEAREST - 1, d2),
+    "tie-in-block": lambda d2: np.where(d2 < 6, 2.0, d2),
+    "nan-at-l-th": lambda d2: np.where(d2 >= L_NEAREST - 1, np.nan, d2),
+    "inf-at-boundary": lambda d2: np.where(d2 >= L_NEAREST - 3, np.inf, d2),
+    "inf-after-block": lambda d2: np.where(d2 > L_NEAREST, np.inf, d2),
+    "nan-after-block": lambda d2: np.where(d2 >= L_NEAREST, np.nan, d2),
+}
+
+
+class TestStableNearest:
+    @pytest.mark.parametrize("case", sorted(NEAREST_CASES))
+    def test_directed_case_is_stable_argsort_prefix(self, case):
+        for seed in range(5):
+            d2 = ranked_rows(NEAREST_CASES[case], seed=seed)
+            want = np.argsort(d2, axis=1, kind="stable")[:, :L_NEAREST]
+            assert np.array_equal(_stable_nearest(d2, L_NEAREST), want)
+
+    def test_all_but_one_column(self):
+        d2 = ranked_rows(lambda d2: np.where(d2 % 7 == 0, 3.0, d2))
+        want = np.argsort(d2, axis=1, kind="stable")[:, :49]
+        assert np.array_equal(_stable_nearest(d2, 49), want)
 
 
 class TestErrorRate:

@@ -1,10 +1,12 @@
 """``build_report`` reuses the predictions of an eval at the last iteration.
 
-The reuse must not change a byte of the report: for every objective the
-report equals one built from freshly recomputed predictions. Each case where
-the last eval cannot serve (no eval at the last iteration, a resume that
-starts at the end, magnet's own report K-means seed, a model stepped or a
-variance changed after ``train()``) classifies again.
+The report classifies the test split as an eval at the last iteration does,
+magnet's kNC index included, so the reuse must not change a byte of the
+report: for every objective the report equals one built from freshly
+recomputed predictions, and its error rate is the last ``val_error``. Each
+case where the last eval cannot serve (no eval at the last iteration, a
+resume that starts at the end, a model stepped or a variance changed after
+``train()``) classifies again, as an eval at the last iteration would.
 """
 
 import dataclasses
@@ -46,11 +48,13 @@ def counted_predict(monkeypatch, result):
 def test_report_equals_recomputed(objective):
     config = pin_config(objective)
     result = train(config, *pin_data())
-    assert (result.final_eval is None) == (objective == "magnet")
-    assert json.dumps(build_report(config, result)) == json.dumps(fresh_report(config, result))
+    assert result.final_eval is not None
+    report = build_report(config, result)
+    assert report["error_rate"] == result.metrics[-1].val_error  # an eval row
+    assert json.dumps(report) == json.dumps(fresh_report(config, result))
 
 
-@pytest.mark.parametrize("objective", ["triplet", "nca"])
+@pytest.mark.parametrize("objective", ["magnet", "triplet", "nca"])
 def test_report_does_not_classify_again(objective, monkeypatch):
     config = pin_config(objective)
     result = train(config, *pin_data())
@@ -65,12 +69,13 @@ def test_report_does_not_classify_again(objective, monkeypatch):
 
 def off_eval(config, tmp_path):
     # the last eval is at iteration 99 of 110
-    return train(dataclasses.replace(config, iterations=110), *pin_data())
+    config = dataclasses.replace(config, iterations=110)
+    return config, train(config, *pin_data())
 
 
 def resumed_at_end(config, tmp_path):
     train(config, *pin_data(), checkpoint_dir=tmp_path)
-    return train(config, *pin_data(), resume_from=tmp_path)
+    return config, train(config, *pin_data(), resume_from=tmp_path)
 
 
 def stepped_after_train(config, tmp_path):
@@ -78,38 +83,43 @@ def stepped_after_train(config, tmp_path):
     model = result.step.model
     reps, trace = model.forward(result.train_data.inputs[:4])
     model.sgd_step(model.backward(trace, np.ones_like(reps)), config.optimizer(), 0)
-    return result
+    return config, result
 
 
 def sigma2_changed(config, tmp_path):
     result = train(config, *pin_data())
-    return dataclasses.replace(result, sigma2=2.0 * result.sigma2)
+    return config, dataclasses.replace(result, sigma2=2.0 * result.sigma2)
 
 
 FALLBACKS = {f.__name__: f for f in (off_eval, resumed_at_end, stepped_after_train, sigma2_changed)}
 
 
-@pytest.mark.parametrize("objective", ["triplet", "softmax", "ncmc"])
+@pytest.mark.parametrize("objective", ["magnet", "triplet", "softmax", "ncmc"])
 @pytest.mark.parametrize("case", sorted(FALLBACKS))
 def test_fallbacks_classify_again(objective, case, monkeypatch, tmp_path):
-    config = pin_config(objective)
-    result = FALLBACKS[case](config, tmp_path)
+    config, result = FALLBACKS[case](pin_config(objective), tmp_path)
     want = json.dumps(fresh_report(config, result))
     calls = counted_predict(monkeypatch, result)
     assert json.dumps(build_report(config, result)) == want
-    assert calls == [(result.sigma2, -1)]
+    assert calls == [(result.sigma2, config.iterations - 1)]
 
 
-def test_magnet_report_classifies_again(monkeypatch):
+def test_magnet_report_is_its_final_eval(monkeypatch):
+    # the report's kNC index draws the K-means seed of the eval at the last
+    # iteration, so that eval's predictions serve and nothing classifies again
     config = pin_config("magnet")
     result = train(config, *pin_data())
     calls = counted_predict(monkeypatch, result)
-    build_report(config, result)
-    assert calls == [(result.sigma2, -1)]
+    report = build_report(config, result)
+    assert calls == []
+    preds = result.step.predict(None, config.iterations - 1)
+    assert np.array_equal(result.final_eval[2], preds)
+    assert report["error_rate"] == float((preds != result.test_data.labels).mean())
 
 
-def test_resumed_report_matches_uninterrupted(tmp_path):
-    config = pin_config("triplet")
+@pytest.mark.parametrize("objective", ["magnet", "triplet"])
+def test_resumed_report_matches_uninterrupted(objective, tmp_path):
+    config = pin_config(objective)
     result = train(config, *pin_data(), checkpoint_dir=tmp_path)
     resumed = train(config, *pin_data(), resume_from=tmp_path)
     assert resumed.final_eval is None
@@ -127,7 +137,7 @@ def test_confusion_matches_loop_with_a_class_train_lacks(objective):
                                  "iterations": 40})
     result = train(config, train_data, test_data)
     report = build_report(config, result)
-    preds = result.step.predict(result.sigma2, -1)
+    preds = result.step.predict(result.sigma2, config.iterations - 1)
     confusion = np.zeros((3, 3), dtype=int)
     for t, p in zip(test_data.labels, preds):
         confusion[int(t), int(p)] += 1

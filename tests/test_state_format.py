@@ -5,9 +5,11 @@ the magnet loss cache, the softmax head, the metrics rows and the refresh
 record's parameters) is stored as base64 of little-endian float64 with its
 shape; the rest stays JSON. A state in the old list format, a state without
 the model, a truncated, non-base64 or misshapen blob, an iteration or
-metrics that disagree, a bad magnet ``sigma2`` and a refresh record that no
-run writes all fail to load with a ``ParseError``, which the command line
-reports as an ``error:`` line with exit status 1.
+metrics that disagree, a bad magnet ``sigma2`` or loss-cache entry, a
+``train_loss`` or ``val_error`` no run writes, an rng state the generator
+refuses and a refresh record that no run writes all fail to load with a
+``ParseError``, which the command line reports as an ``error:`` line with
+exit status 1.
 """
 
 import base64
@@ -275,4 +277,69 @@ def test_non_finite_model_array_rejected(key, tmp_path):
     config, path = saved_state(tmp_path, OBJECTIVE.get(key, "magnet"))
     rewrite(path, poison(key))
     with pytest.raises(ParseError, match=f"'{key}' holds a non-finite value"):
+        train(config, *pin_data(), resume_from=tmp_path)
+
+
+def set_cache_entry(value):
+    def edit(state):
+        cache = decode(state["loss_cache"]).copy()
+        cache[np.flatnonzero(np.isfinite(cache))[0]] = value
+        state["loss_cache"] = encode(cache)
+    return edit
+
+
+# -1.0 and inf used to load; the first step then raised numpy's "Probabilities
+# are not non-negative" or "contain NaN" from rng.choice, or trained on
+@pytest.mark.parametrize("value", [-1.0, -1e-300, float("inf"), float("-inf")])
+def test_bad_loss_cache_entry_rejected(value, tmp_path):
+    config, path = saved_state(tmp_path)
+    rewrite(path, set_cache_entry(value))
+    with pytest.raises(ParseError, match="'loss_cache' holds a value that is not NaN"):
+        train(config, *pin_data(), resume_from=tmp_path)
+
+
+def set_metrics_cell(column, value):
+    def edit(state):
+        rows = decode(state["metrics"]).copy()
+        rows[19, column] = value  # iteration 19 is an eval
+        state["metrics"] = encode(rows)
+    return edit
+
+
+# each loaded and was copied into metrics.csv
+BAD_METRICS = {
+    "train_loss-nan": (set_metrics_cell(1, np.nan), "train_loss that is not finite"),
+    "train_loss-inf": (set_metrics_cell(1, np.inf), "train_loss that is not finite"),
+    "val_error-above-one": (set_metrics_cell(2, 7.0), "val_error that is not NaN or in"),
+    "val_error-negative": (set_metrics_cell(2, -0.5), "val_error that is not NaN or in"),
+    "val_error-inf": (set_metrics_cell(2, np.inf), "val_error that is not NaN or in"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_METRICS))
+def test_bad_metrics_value_rejected(case, tmp_path):
+    edit, message = BAD_METRICS[case]
+    config, path = saved_state(tmp_path)
+    rewrite(path, edit)
+    with pytest.raises(ParseError, match=f"'metrics' holds a {message}"):
+        train(config, *pin_data(), resume_from=tmp_path)
+
+
+def test_cli_resume_from_bad_rng_state_errors(tmp_path, capsys):
+    # was a raw OverflowError traceback from setting the generator's state
+    status, err = resume_cli(tmp_path, capsys,
+                             lambda state: state["rng_state"]["state"].update(state=-5))
+    assert status == 1
+    assert err.startswith("error:") and "bad training state" in err
+
+
+# null and a number were a ParseError from base64 naming no key; a missing
+# 'f8' named only 'f8'
+@pytest.mark.parametrize("f8", [None, 5, "missing"])
+@pytest.mark.parametrize("key", ["loss_cache", "weights", "metrics"])
+def test_blob_without_base64_text_names_the_key(key, f8, tmp_path):
+    config, path = saved_state(tmp_path)
+    edit = (lambda blob: blob.pop("f8")) if f8 == "missing" else (lambda blob: blob.update(f8=f8))
+    rewrite(path, lambda state: edit(BLOBS[key](state)))
+    with pytest.raises(ParseError, match=f"'{key}' has an 'f8' of {f8 if f8 != 'missing' else None}"):
         train(config, *pin_data(), resume_from=tmp_path)
