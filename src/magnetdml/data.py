@@ -23,8 +23,9 @@ from .errors import ConfigurationError, ParseError
 class Dataset:
     """Labelled feature vectors with optional per-example binary attributes.
 
-    ``inputs`` is (N, d) finite float64, ``labels`` is (N,) integer with every value
-    in [0, class_count) and every class represented at least once.
+    ``inputs`` is (N, d) finite float64 with N, d >= 1, ``labels`` is (N,)
+    integer with every value in [0, class_count) and every class represented
+    at least once.
     ``attributes`` is either None or a row-aligned (N, A) 0/1 array; a dataset
     without attributes stores None so attribute metrics refuse to run instead
     of silently reporting zeros.
@@ -37,8 +38,8 @@ class Dataset:
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.inputs.ndim != 2 or len(self.inputs) == 0:
-            raise ConfigurationError("inputs must be a non-empty (N, d) array")
+        if self.inputs.ndim != 2 or self.inputs.size == 0:
+            raise ConfigurationError("inputs must be a non-empty (N, d) array with d >= 1")
         if not np.isfinite(self.inputs).all():
             raise ConfigurationError("inputs must be finite (no NaN or inf)")
         if self.labels.shape != (len(self.inputs),):

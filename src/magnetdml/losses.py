@@ -250,10 +250,6 @@ class NcmModel:
     centroids: np.ndarray
 
     @classmethod
-    def fit_means(cls, inputs, labels, out_dim: int, seed: int = 0) -> "NcmModel":
-        return cls.fit_centroids(inputs, labels, out_dim, k=1, seed=seed)
-
-    @classmethod
     def fit_centroids(cls, inputs, labels, out_dim: int, k: int, seed: int = 0) -> "NcmModel":
         centers, _, _ = class_kmeans(inputs, labels, k, seed, small="pad")
         d = centers.shape[1]

@@ -6,8 +6,10 @@ iterations it saves the state (given a ``checkpoint_dir``), then refreshes
 from a frozen model snapshot and, for ``seeded`` objectives, an index seed
 drawn from the rng. An objective is a step object: its constructor builds the
 fresh model and its own state; ``refresh(iteration, snapshot, seed)`` rebuilds
-what derives from the snapshot (magnet index, triplet miner);
-``step(iteration, rng)`` runs one sample/forward/loss/backward/SGD iteration;
+what derives from the snapshot (magnet index, triplet miner); an iteration
+is ``sample(rng)``, every rng draw, then ``objective(model, batch) -> (loss,
+grads, kinks, out)``, pure given the model and the batch and the one that
+``grad-check`` checks, then the SGD step and ``after(batch, out, iteration)``;
 ``predict(sigma2, iteration)`` classifies the test split for the eval rows and
 the report; ``sigma2()`` is the report variance; ``state()`` adds its own keys
 to ``training_state.json`` and ``resume(raw)`` copies them into its own arrays.
@@ -132,8 +134,11 @@ def train(
 
 class _Step:
     """The part of the loop that differs between objectives (module docstring).
-    ``step`` returns the loss and the batch to name if the loss is not finite;
-    ``predict`` defaults to soft kNN over the training set, built by ``context``."""
+    A batch is a dict naming its examples (magnet's, a :class:`Neighbourhood`
+    that ``named`` turns into one), which ``step`` returns with the loss for
+    the loop to name if the loss is not finite. The kinks are the unflattened
+    hinge and rectifier arguments, which only grad-check reads. ``predict``
+    defaults to soft kNN over the training set, built by ``context``."""
 
     seeded = False  # refresh takes an index seed drawn from the training rng
     metric = "soft_knn"
@@ -145,6 +150,19 @@ class _Step:
 
     def refresh(self, iteration, snapshot, seed):
         pass
+
+    def step(self, iteration, rng):
+        batch = self.sample(rng)
+        loss, grads, _, out = self.objective(self.model, batch)
+        self.model.sgd_step(grads, self.opt, iteration)
+        self.after(batch, out, iteration)
+        return loss, self.named(batch)
+
+    def after(self, batch, out, iteration):
+        pass
+
+    def named(self, batch) -> dict:
+        return batch
 
     def predict(self, sigma2, iteration) -> np.ndarray:
         ctx = self.context(sigma2, iteration)
@@ -179,15 +197,22 @@ class _MagnetStep(_Step):
         self.index = build_index(snapshot, self.train_data, k=self.config.k, seed=seed,
                                  loss_cache=self.loss_cache)
 
-    def step(self, iteration, rng):
-        nb = sample_neighbourhood(self.index, self.train_data, self.config.m, self.config.d, rng)
-        reps, trace = self.model.forward(nb.inputs)
+    def sample(self, rng):
+        return sample_neighbourhood(self.index, self.train_data, self.config.m, self.config.d, rng)
+
+    def objective(self, model, nb):
+        reps, trace = model.forward(nb.inputs)
         result = L.magnet_minibatch_loss(
             reps, nb.example_clusters, nb.cluster_classes, self.loss_config)
-        self.model.sgd_step(self.model.backward(trace, result.rep_grads), self.opt, iteration)
+        kinks = trace.preacts[:-1] + [result.hinge_args]
+        return result.mean_loss, model.backward(trace, result.rep_grads), kinks, result
+
+    def after(self, nb, result, iteration):
         self.index.update_loss_cache(nb.example_indices, result.example_losses)
         self.sigma.update(result.batch_variance)
-        return result.mean_loss, {"examples": nb.example_indices, "clusters": nb.clusters}
+
+    def named(self, nb):
+        return {"examples": nb.example_indices, "clusters": nb.clusters}
 
     def context(self, sigma2, iteration) -> EvalContext:
         # a seed of its own: evaluation must not consume the training rng stream
@@ -223,16 +248,18 @@ class _TripletStep(_Step):
     def refresh(self, iteration, snapshot, seed):
         self.miner = TripletMiner(snapshot.embed(self.train_data.inputs), self.train_data.labels)
 
-    def step(self, iteration, rng):
-        seeds, pos, neg = sample_triplets(
+    def sample(self, rng):
+        triplets = sample_triplets(
             self.miner, self.config.batch_size, self.config.impostor_fraction, rng)
-        stacked = np.concatenate([seeds, pos, neg])
-        reps, trace = self.model.forward(self.train_data.inputs[stacked])
+        return {"triplets": np.concatenate(triplets)}
+
+    def objective(self, model, batch):
+        reps, trace = model.forward(self.train_data.inputs[batch["triplets"]])
         result = L.triplet_loss(*np.split(reps, 3), self.config.alpha)
         rep_grads = np.concatenate(
             [result.seed_grads, result.positive_grads, result.negative_grads])
-        self.model.sgd_step(self.model.backward(trace, rep_grads), self.opt, iteration)
-        return result.mean_loss, {"triplets": stacked}
+        kinks = trace.preacts[:-1] + [result.hinge_args]
+        return result.mean_loss, model.backward(trace, rep_grads), kinks, result
 
 
 class _NcaStep(_Step):
@@ -244,17 +271,18 @@ class _NcaStep(_Step):
         if not self.pairable:
             raise ConfigurationError("nca requires a class with at least two examples")
 
-    def step(self, iteration, rng):
+    def sample(self, rng):
         # sample same-class pairs so every example has a peer
         batch = []
         for _ in range(max(self.config.batch_size // 2, 1)):
             members = self.pairable[int(rng.integers(len(self.pairable)))]
             batch.extend(rng.choice(members, size=2, replace=False).tolist())
-        batch = np.asarray(batch)
-        reps, trace = self.model.forward(self.train_data.inputs[batch])
-        result = L.nca_loss(reps, self.train_data.labels[batch])
-        self.model.sgd_step(self.model.backward(trace, result.rep_grads), self.opt, iteration)
-        return result.mean_loss, {"examples": batch}
+        return {"examples": np.asarray(batch)}
+
+    def objective(self, model, batch):
+        reps, trace = model.forward(self.train_data.inputs[batch["examples"]])
+        result = L.nca_loss(reps, self.train_data.labels[batch["examples"]])
+        return result.mean_loss, model.backward(trace, result.rep_grads), trace.preacts[:-1], result
 
 
 class _SoftmaxStep(_Step):
@@ -266,15 +294,18 @@ class _SoftmaxStep(_Step):
             self.model.output_dim, train_data.class_count, seed=config.seed + 1
         )
 
-    def step(self, iteration, rng):
+    def sample(self, rng):
         n = self.train_data.size
-        batch = rng.choice(n, size=min(self.config.batch_size, n), replace=False)
-        reps, trace = self.model.forward(self.train_data.inputs[batch])
+        return {"examples": rng.choice(n, size=min(self.config.batch_size, n), replace=False)}
+
+    def objective(self, model, batch):
+        reps, trace = model.forward(self.train_data.inputs[batch["examples"]])
         loss, rep_grads, grad_w, grad_b = self.head.loss_and_grads(
-            reps, self.train_data.labels[batch])
-        self.model.sgd_step(self.model.backward(trace, rep_grads), self.opt, iteration)
-        self.head.sgd_step(grad_w, grad_b, self.opt, iteration)
-        return loss, {"examples": batch}
+            reps, self.train_data.labels[batch["examples"]])
+        return loss, model.backward(trace, rep_grads), trace.preacts[:-1], (grad_w, grad_b)
+
+    def after(self, batch, head_grads, iteration):
+        self.head.sgd_step(*head_grads, self.opt, iteration)
 
     def predict(self, sigma2, iteration) -> np.ndarray:
         return self.head.logits(self.model.embed(self.test_data.inputs)).argmax(axis=1)
@@ -300,10 +331,13 @@ class _NcmStep(_Step):
         model.weights[0] = self.ncm.w
         super().__init__(config, train_data, test_data, model)
 
-    def step(self, iteration, rng):
-        loss, grad_w = L.ncm_loss(self.ncm, self.train_data.inputs, self.train_data.labels)
-        self.model.sgd_step(([grad_w], [np.zeros_like(self.model.biases[0])]), self.opt, iteration)
-        return loss, {"full_batch": True}
+    def sample(self, rng):
+        return {"full_batch": True}
+
+    def objective(self, model, batch):
+        ncm = L.NcmModel(model.weights[0], self.ncm.centroids)
+        loss, grad_w = L.ncm_loss(ncm, self.train_data.inputs, self.train_data.labels)
+        return loss, ([grad_w], [np.zeros_like(model.biases[0])]), [], None
 
     def predict(self, sigma2, iteration) -> np.ndarray:
         return L.ncm_classify(self.ncm, self.test_data.inputs)
@@ -442,9 +476,9 @@ def _load_training_state(outdir, step, rng) -> Tuple[int, List[MetricsRow], Opti
     list format included), a non-finite model array, an iteration that is not
     an int at or above 0, metrics other than one row per iteration before it,
     a non-finite ``train_loss``, a ``val_error`` that is neither NaN nor in
-    [0, 1], an rng state the generator refuses or a refresh record that no run
-    writes is a ``ParseError``; a state the config cannot continue, a
-    ``ConfigurationError`` naming both values."""
+    [0, 1], an rng state that is not a whole state of the run's generator or
+    a refresh record that no run writes is a ``ParseError``; a state the
+    config cannot continue, a ``ConfigurationError`` naming both values."""
     outdir, config, model = Path(outdir), step.config, step.model
     try:
         raw = json.loads((outdir / "training_state.json").read_text())
@@ -468,6 +502,7 @@ def _load_training_state(outdir, step, rng) -> Tuple[int, List[MetricsRow], Opti
                     f"the config has {name} = {value!r}")
         for key in _MODEL_ARRAYS:
             _restore(getattr(model, key), raw[key], key)
+        _check_rng_state(raw["rng_state"], rng.bit_generator.state["bit_generator"])
         rng.bit_generator.state = raw["rng_state"]
         step.resume(raw)
         refresh = raw["refresh"]
@@ -492,6 +527,19 @@ def _load_training_state(outdir, step, rng) -> Tuple[int, List[MetricsRow], Opti
         raise
     except (LookupError, TypeError, ValueError, OverflowError, ContractError) as exc:
         raise ParseError(f"{outdir}: bad training state: {exc}") from exc
+
+
+def _check_rng_state(saved, name):
+    """A saved state of another generator, or with a number numpy would
+    truncate or refuse, is a ValueError: resume would go on another stream."""
+    if saved["bit_generator"] != name:
+        raise ValueError(f"'rng_state.bit_generator' = {saved['bit_generator']!r} is not {name!r}")
+    for key, value, bits in (("state.state", saved["state"]["state"], 128),
+                             ("state.inc", saved["state"]["inc"], 128),
+                             ("has_uint32", saved["has_uint32"], 1),
+                             ("uinteger", saved["uinteger"], 32)):
+        if not (type(value) is int and 0 <= value < 2**bits):
+            raise ValueError(f"'rng_state.{key}' = {value!r} is not an int in [0, 2**{bits})")
 
 
 def _check_refresh(refresh, iteration, interval, seeded):

@@ -158,7 +158,7 @@ def test_06_knc_ncm_equivalence(announce):
     rng = np.random.default_rng(6)
     train_x = rng.standard_normal((90, 4)) + rng.integers(0, 3, 90)[:, None]
     train_y = rng.integers(0, 3, 90)
-    ncm = NcmModel.fit_means(train_x, train_y, out_dim=4)
+    ncm = NcmModel.fit_centroids(train_x, train_y, out_dim=4, k=1)
     ncm.w = np.eye(4)
     ctx = EvalContext(ncm.centroids[:, 0, :], np.arange(3), sigma2=1.0, l=3)
     queries = rng.standard_normal((1000, 4)) * 2.0

@@ -89,6 +89,13 @@ class TestLoadDataset:
         assert ds.labels.tolist() == [0, 1, 0]
         assert ds.class_count == 2
 
+    def test_label_only_file_rejected(self, tmp_path):
+        # a header of 'label' alone used to load as a (3, 0) dataset
+        p = tmp_path / "d.csv"
+        p.write_text("label\n0\n1\n0\n")
+        with pytest.raises(ConfigurationError, match="d >= 1"):
+            load_dataset(p)
+
     def test_inconsistent_dimension_names_line(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("label,f0,f1\n0,1.0,2.0\n1,3.0,4.0\n0,1.0,2.0,3.0\n")

@@ -58,7 +58,7 @@ class TestKnc:
         rng = np.random.default_rng(1)
         x = rng.standard_normal((60, 2))
         y = rng.integers(0, 3, 60)
-        ncm = NcmModel.fit_means(x, y, out_dim=2)
+        ncm = NcmModel.fit_centroids(x, y, out_dim=2, k=1)
         ncm.w = np.eye(2)
         ctx = EvalContext(ncm.centroids[:, 0, :], np.arange(3), sigma2=1.0, l=3)
         queries = rng.standard_normal((200, 2))

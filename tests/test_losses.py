@@ -300,7 +300,7 @@ class TestNcm:
     def test_fit_means_frozen(self):
         x = np.array([[0.0], [2.0], [10.0], [12.0]])
         y = np.array([0, 0, 1, 1])
-        m = NcmModel.fit_means(x, y, out_dim=1, seed=0)
+        m = NcmModel.fit_centroids(x, y, out_dim=1, k=1, seed=0)
         assert np.allclose(m.centroids[:, 0, 0], [1.0, 11.0])
 
     def test_one_point_class_padded_to_k(self):
@@ -319,7 +319,7 @@ class TestNcm:
         # label 1 has no examples; its mean used to be NaN
         x, y = np.array([[0.0], [2.0], [10.0]]), np.array([0, 0, 2])
         with pytest.raises(ConfigurationError, match="class 1 has no examples"):
-            NcmModel.fit_means(x, y, out_dim=1, seed=0)
+            NcmModel.fit_centroids(x, y, out_dim=1, k=1, seed=0)
 
 
 class TestSoftmaxXent:

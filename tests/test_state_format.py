@@ -6,10 +6,10 @@ record's parameters) is stored as base64 of little-endian float64 with its
 shape; the rest stays JSON. A state in the old list format, a state without
 the model, a truncated, non-base64 or misshapen blob, an iteration or
 metrics that disagree, a bad magnet ``sigma2`` or loss-cache entry, a
-``train_loss`` or ``val_error`` no run writes, an rng state the generator
-refuses and a refresh record that no run writes all fail to load with a
-``ParseError``, which the command line reports as an ``error:`` line with
-exit status 1.
+``train_loss`` or ``val_error`` no run writes, an rng state that is not a
+whole state of the run's generator and a refresh record that no run writes
+all fail to load with a ``ParseError``, which the command line reports as an
+``error:`` line with exit status 1.
 """
 
 import base64
@@ -331,6 +331,40 @@ def test_cli_resume_from_bad_rng_state_errors(tmp_path, capsys):
                              lambda state: state["rng_state"]["state"].update(state=-5))
     assert status == 1
     assert err.startswith("error:") and "bad training state" in err
+
+
+def set_rng(key, value):
+    def edit(state):
+        *path, last = key.split(".")
+        target = state["rng_state"]
+        for name in path:
+            target = target[name]
+        target[last] = value
+    return edit
+
+
+# numpy loaded each of these but the generator name and 2**32, truncating a
+# float to an int or keeping a has_uint32 it never writes, so resume went on
+# along another stream; a wrong name or 2**32 was an error naming no key
+BAD_RNG = {
+    "other-generator": ("bit_generator", "MT19937"),
+    "fractional-state": ("state.state", 1.5),
+    "bool-state": ("state.state", True),
+    "fractional-inc": ("state.inc", 1.5),
+    "has_uint32-two": ("has_uint32", 2),
+    "has_uint32-negative": ("has_uint32", -1),
+    "fractional-uinteger": ("uinteger", 1.5),
+    "uinteger-too-big": ("uinteger", 2**32),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RNG))
+def test_bad_rng_state_rejected(case, tmp_path):
+    key, value = BAD_RNG[case]
+    config, path = saved_state(tmp_path)
+    rewrite(path, set_rng(key, value))
+    with pytest.raises(ParseError, match=f"'rng_state.{key}' = {value!r} is not"):
+        train(config, *pin_data(), resume_from=tmp_path)
 
 
 # null and a number were a ParseError from base64 naming no key; a missing
