@@ -16,15 +16,16 @@ Run:  python3 demos/loss_anatomy.py
 
 import numpy as np
 
-from magnetdml import MagnetConfig, magnet_as_triplet, magnet_minibatch_loss
+from magnetdml import magnet_as_triplet, magnet_minibatch_loss
 
 
 def main():
     reps = np.array([[0.0], [2.0], [1.0], [3.0]])
     clusters = np.array([0, 0, 1, 1])
     cluster_classes = np.array([0, 1])
+    alpha = 2.0
 
-    result = magnet_minibatch_loss(reps, clusters, cluster_classes, MagnetConfig(alpha=2.0))
+    result = magnet_minibatch_loss(reps, clusters, cluster_classes, alpha)
     print("four-point example")
     print("  per-example losses:", np.round(result.example_losses, 6))
     print("  mean loss:         ", result.mean_loss)
@@ -32,8 +33,7 @@ def main():
 
     print("\nscale invariance (variance normalization on)")
     for t in (0.5, 2.0, 10.0):
-        scaled = magnet_minibatch_loss(t * reps, clusters, cluster_classes,
-                                       MagnetConfig(alpha=2.0))
+        scaled = magnet_minibatch_loss(t * reps, clusters, cluster_classes, alpha)
         print(f"  scale {t:5.1f}: mean loss {scaled.mean_loss}")
 
     print("\nreduction to the symmetrized triplet hinge (M=2, D=2)")

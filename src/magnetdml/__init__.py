@@ -30,10 +30,10 @@ from .evaluate import (
     reference_sigma2,
     soft_knn_context,
 )
+from .gradcheck import grad_check
 from .index import ClusterIndex, build_index, class_kmeans, kmeans
 from .losses import (
     LinearHead,
-    MagnetConfig,
     NcmModel,
     magnet_as_triplet,
     magnet_full_objective,
@@ -44,7 +44,7 @@ from .losses import (
     softmax_xent,
     triplet_loss,
 )
-from .model import EmbeddingModel, OptimizerConfig, grad_check
+from .model import EmbeddingModel
 from .sampler import (
     Neighbourhood,
     TripletMiner,

@@ -69,7 +69,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (ConfigurationError, ParseError, ContractError, OSError) as exc:
+    except (ConfigurationError, ParseError, ContractError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

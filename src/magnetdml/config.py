@@ -11,7 +11,6 @@ from pathlib import Path
 from typing import List, Optional
 
 from .errors import ConfigurationError, ParseError
-from .model import OptimizerConfig
 
 SEED_ENV_VAR = "MAGNETDML_SEED"
 
@@ -59,6 +58,14 @@ class ExperimentConfig:
         for f in fields(self):
             if f.type is float and not math.isfinite(getattr(self, f.name)):
                 raise ConfigurationError(f"{f.name} must be finite")
+        if self.learning_rate <= 0:
+            raise ConfigurationError("learning_rate must be positive")
+        if not 0 <= self.momentum < 1:
+            raise ConfigurationError("momentum must lie in [0, 1)")
+        if not 0 < self.anneal_factor <= 1:
+            raise ConfigurationError("anneal_factor must lie in (0, 1]")
+        if self.epoch_length < 1:
+            raise ConfigurationError("epoch_length must be >= 1")
         if self.objective == "magnet" and self.m * self.d > MAX_BATCH:
             raise ConfigurationError(
                 f"m*d = {self.m * self.d} exceeds the batch cap {MAX_BATCH}"
@@ -68,14 +75,6 @@ class ExperimentConfig:
                 "iterations must be >= 0, eval_interval and refresh_interval >= 1")
         if self.seed < 0 or self.batch_size < 1:
             raise ConfigurationError("seed must be >= 0 and batch_size >= 1")
-
-    def optimizer(self) -> OptimizerConfig:
-        return OptimizerConfig(
-            learning_rate=self.learning_rate,
-            momentum=self.momentum,
-            anneal_factor=self.anneal_factor,
-            epoch_length=self.epoch_length,
-        )
 
 
 def _int_list(raw: str) -> List[int]:

@@ -13,6 +13,7 @@ Conventions fixed here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -21,15 +22,6 @@ import numpy as np
 from .errors import ConfigurationError, ContractError
 from .index import VARIANCE_FLOOR, class_kmeans, sqdist
 from .model import momentum_sgd
-
-
-@dataclass
-class MagnetConfig:
-    alpha: float = 1.0
-
-    def __post_init__(self):
-        if not np.isfinite(self.alpha):
-            raise ConfigurationError("alpha must be finite")
 
 
 @dataclass
@@ -45,7 +37,7 @@ def magnet_minibatch_loss(
     representations: np.ndarray,
     example_clusters: np.ndarray,
     cluster_classes: np.ndarray,
-    config: MagnetConfig = MagnetConfig(),
+    alpha: float = 1.0,
 ) -> MagnetLossResult:
     """Stochastic cluster-overlap loss over a sampled neighbourhood.
 
@@ -56,6 +48,8 @@ def magnet_minibatch_loss(
     cluster mean (with gap ``alpha``) and repelled from batch cluster means of
     other classes.
     """
+    if not math.isfinite(alpha):
+        raise ConfigurationError("alpha must be finite")
     reps = np.atleast_2d(np.asarray(representations, dtype=np.float64))
     example_clusters = np.asarray(example_clusters, dtype=np.int64)
     cluster_classes = np.asarray(cluster_classes, dtype=np.int64)
@@ -92,7 +86,7 @@ def magnet_minibatch_loss(
     lse = shift + np.log(denom)
     w = expw / denom[:, None]
 
-    q = s * inv2v + config.alpha + lse
+    q = s * inv2v + alpha + lse
     losses = np.maximum(q, 0.0)
     active = (q > 0).astype(np.float64)
 
@@ -120,12 +114,14 @@ def magnet_minibatch_loss(
     )
 
 
-def magnet_full_objective(index, representations, labels, config: MagnetConfig = MagnetConfig()) -> float:
+def magnet_full_objective(index, representations, labels, alpha: float = 1.0) -> float:
     """Full-dataset cluster-overlap objective (evaluation only, no gradients).
 
     Uses the index's assigned centers and global variance; the denominator
     sums over all clusters of all other classes.
     """
+    if not math.isfinite(alpha):
+        raise ConfigurationError("alpha must be finite")
     reps = np.atleast_2d(np.asarray(representations, dtype=np.float64))
     labels = np.asarray(labels)
     v = max(index.variance, VARIANCE_FLOOR)
@@ -136,7 +132,7 @@ def magnet_full_objective(index, representations, labels, config: MagnetConfig =
     logits = np.where(impostor, -d2 * inv2v, -np.inf)
     shift = logits.max(axis=1)
     lse = shift + np.log(np.exp(logits - shift[:, None]).sum(axis=1))
-    q = own * inv2v + config.alpha + lse
+    q = own * inv2v + alpha + lse
     return float(np.maximum(q, 0.0).mean())
 
 
@@ -156,8 +152,8 @@ def triplet_loss(
     alpha: float,
 ) -> TripletLossResult:
     """Mean over triplets of hinge(||r - r+||^2 - ||r - r-||^2 + alpha)."""
-    if alpha < 0:
-        raise ConfigurationError("alpha must be >= 0")
+    if not 0 <= alpha < math.inf:
+        raise ConfigurationError("alpha must be finite and >= 0")
     r, p, n = (np.atleast_2d(np.asarray(x, dtype=np.float64))
                for x in (seeds, positives, negatives))
     m = len(r)
@@ -183,6 +179,8 @@ def magnet_as_triplet(seed_pair: np.ndarray, impostor: np.ndarray, alpha: float)
     approximated by two samples (each attracted to the other), the impostor
     cluster by one sample, and variance normalization is off. Equals the
     two-term symmetrized triplet sum."""
+    if not math.isfinite(alpha):
+        raise ConfigurationError("alpha must be finite")
     pair = np.atleast_2d(np.asarray(seed_pair, dtype=np.float64))
     if pair.shape[0] != 2:
         raise ConfigurationError("seed_pair must contain exactly two representations")

@@ -2,39 +2,21 @@
 
 The map is a stack of affine layers with rectifier activations on hidden
 layers and identity output. Everything is float64; the finite-difference
-checks in the test suite depend on that.
+checks of :mod:`magnetdml.gradcheck` depend on that.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .errors import ConfigurationError, ContractError, ParseError
 
 _CHECKPOINT_MAGIC = b"MDML1\x00"
-
-
-@dataclass
-class OptimizerConfig:
-    learning_rate: float = 0.01
-    momentum: float = 0.9
-    anneal_factor: float = 1.0
-    epoch_length: int = 100
-
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigurationError("learning_rate must be positive")
-        if not 0 <= self.momentum < 1:
-            raise ConfigurationError("momentum must lie in [0, 1)")
-        if not 0 < self.anneal_factor <= 1:
-            raise ConfigurationError("anneal_factor must lie in (0, 1]")
-        if self.epoch_length < 1:
-            raise ConfigurationError("epoch_length must be >= 1")
 
 
 class ActivationTrace:
@@ -44,12 +26,6 @@ class ActivationTrace:
         self.version = version
         self.layer_inputs = layer_inputs
         self.preacts = preacts
-
-    def hidden_preacts(self) -> np.ndarray:
-        """All hidden-layer pre-activations, flattened (rectifier kink margins)."""
-        if len(self.preacts) <= 1:
-            return np.empty(0)
-        return np.concatenate([z.ravel() for z in self.preacts[:-1]])
 
 
 class EmbeddingModel:
@@ -123,7 +99,7 @@ class EmbeddingModel:
                 g = gz @ self.weights[i]
         return w_grads, b_grads
 
-    def sgd_step(self, gradients, config: OptimizerConfig, iteration: int):
+    def sgd_step(self, gradients, config: ExperimentConfig, iteration: int):
         """One :func:`momentum_sgd` step over every weight and bias."""
         w_grads, b_grads = gradients
         momentum_sgd(
@@ -157,10 +133,6 @@ class EmbeddingModel:
         if i != flat.size:
             raise ContractError("flat parameter vector has the wrong length")
         self._version += 1
-
-    def flatten_grads(self, gradients) -> np.ndarray:
-        w_grads, b_grads = gradients
-        return np.concatenate([g.ravel() for g in w_grads] + [g.ravel() for g in b_grads])
 
     def to_bytes(self) -> bytes:
         """Binary checkpoint: magic, layer count, dims, then row-major W and b arrays."""
@@ -202,9 +174,11 @@ class EmbeddingModel:
         return model
 
 
-def momentum_sgd(params, velocities, grads, config: OptimizerConfig, iteration: int):
-    """velocity <- m*velocity - rate*grad; param += velocity, in place, with
-    the rate annealed by ``anneal_factor`` every ``epoch_length`` iterations."""
+def momentum_sgd(params, velocities, grads, config: ExperimentConfig, iteration: int):
+    """velocity <- momentum*velocity - rate*grad; param += velocity, in place.
+    Reads four fields of ``config``: the rate is ``learning_rate`` annealed by
+    ``anneal_factor`` every ``epoch_length`` iterations, and ``momentum``
+    scales the velocity."""
     rate = config.learning_rate * config.anneal_factor ** (iteration // config.epoch_length)
     for p, v, g in zip(params, velocities, grads):
         if g.shape != p.shape:
@@ -213,73 +187,3 @@ def momentum_sgd(params, velocities, grads, config: OptimizerConfig, iteration: 
         v -= rate * g
         p += v
 
-
-@dataclass
-class GradCheckReport:
-    max_relative_error: float
-    checked: int
-    skipped: int
-    passed: bool
-
-
-def grad_check(
-    model: EmbeddingModel,
-    loss_probe: Callable[[EmbeddingModel], tuple],
-    tolerance: float = 1e-4,
-    num_coords: int = 200,
-    step: float = 1e-5,
-    seed: int = 0,
-    kink_margin: float = 1e-6,
-) -> GradCheckReport:
-    """Compare analytic gradients to central finite differences.
-
-    ``loss_probe(model) -> (loss, flat_grad, kink_values)`` where kink_values
-    are hinge/rectifier arguments; a coordinate is skipped when perturbing it
-    crosses (or lands within ``kink_margin`` of) a kink, since the loss is not
-    differentiable there.
-    """
-    rng = np.random.default_rng(seed)
-    _, flat_grad, _ = loss_probe(model)
-    n_params = flat_grad.size
-    coords = rng.choice(n_params, size=min(num_coords, n_params), replace=False)
-    base = model.get_flat_params()
-
-    max_rel = 0.0
-    checked = skipped = 0
-    try:
-        for c in coords:
-            perturbed = base.copy()
-            perturbed[c] = base[c] + step
-            model.set_flat_params(perturbed)
-            loss_p, _, kinks_p = loss_probe(model)
-            perturbed[c] = base[c] - step
-            model.set_flat_params(perturbed)
-            loss_m, _, kinks_m = loss_probe(model)
-            if _crosses_kink(kinks_p, kinks_m, kink_margin):
-                skipped += 1
-                continue
-            fd = (loss_p - loss_m) / (2 * step)
-            an = flat_grad[c]
-            rel = abs(an - fd) / max(abs(an), abs(fd), 1e-6)
-            max_rel = max(max_rel, rel)
-            checked += 1
-    finally:
-        model.set_flat_params(base)
-    return GradCheckReport(
-        max_relative_error=max_rel,
-        checked=checked,
-        skipped=skipped,
-        passed=checked > 0 and max_rel < tolerance,
-    )
-
-
-def _crosses_kink(kinks_p, kinks_m, margin) -> bool:
-    if kinks_p is None or kinks_m is None or len(kinks_p) == 0:
-        return False
-    kp = np.asarray(kinks_p)
-    km = np.asarray(kinks_m)
-    if kp.shape != km.shape:
-        return True
-    near = (np.abs(kp) < margin) | (np.abs(km) < margin)
-    flipped = np.sign(kp) != np.sign(km)
-    return bool((near | flipped).any())

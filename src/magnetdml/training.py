@@ -145,7 +145,6 @@ class _Step:
 
     def __init__(self, config, train_data, test_data, model=None):
         self.config, self.train_data, self.test_data = config, train_data, test_data
-        self.opt = config.optimizer()
         self.model = model or EmbeddingModel(config.layer_dims, seed=config.seed)
 
     def refresh(self, iteration, snapshot, seed):
@@ -154,7 +153,7 @@ class _Step:
     def step(self, iteration, rng):
         batch = self.sample(rng)
         loss, grads, _, out = self.objective(self.model, batch)
-        self.model.sgd_step(grads, self.opt, iteration)
+        self.model.sgd_step(grads, self.config, iteration)
         self.after(batch, out, iteration)
         return loss, self.named(batch)
 
@@ -188,7 +187,6 @@ class _MagnetStep(_Step):
 
     def __init__(self, config, train_data, test_data):
         super().__init__(config, train_data, test_data)
-        self.loss_config = L.MagnetConfig(alpha=config.alpha)
         self.sigma = SigmaTracker(decay=config.sigma_decay)
         self.loss_cache = np.full(train_data.size, np.nan)
 
@@ -203,7 +201,7 @@ class _MagnetStep(_Step):
     def objective(self, model, nb):
         reps, trace = model.forward(nb.inputs)
         result = L.magnet_minibatch_loss(
-            reps, nb.example_clusters, nb.cluster_classes, self.loss_config)
+            reps, nb.example_clusters, nb.cluster_classes, self.config.alpha)
         kinks = trace.preacts[:-1] + [result.hinge_args]
         return result.mean_loss, model.backward(trace, result.rep_grads), kinks, result
 
@@ -305,7 +303,7 @@ class _SoftmaxStep(_Step):
         return loss, model.backward(trace, rep_grads), trace.preacts[:-1], (grad_w, grad_b)
 
     def after(self, batch, head_grads, iteration):
-        self.head.sgd_step(*head_grads, self.opt, iteration)
+        self.head.sgd_step(*head_grads, self.config, iteration)
 
     def predict(self, sigma2, iteration) -> np.ndarray:
         return self.head.logits(self.model.embed(self.test_data.inputs)).argmax(axis=1)

@@ -14,7 +14,6 @@ from magnetdml import (
     Dataset,
     EvalContext,
     ExperimentConfig,
-    MagnetConfig,
     MixtureSpec,
     Mode,
     attribute_precision,
@@ -97,10 +96,10 @@ def test_03_full_vs_minibatch_agreement(announce):
     model.weights[0] = np.eye(3)
     model.biases[0][:] = 0.0
     idx = build_index(model, ds, k=2, seed=0)
-    cfg = MagnetConfig(alpha=1.0)
-    full = magnet_full_objective(idx, ds.inputs, ds.labels, cfg)
+    alpha = 1.0
+    full = magnet_full_objective(idx, ds.inputs, ds.labels, alpha)
     batch = magnet_minibatch_loss(
-        ds.inputs, idx.example_cluster, idx.cluster_classes, cfg
+        ds.inputs, idx.example_cluster, idx.cluster_classes, alpha
     )
     diff = abs(full - batch.mean_loss)
     ok = diff < 1e-9 and ds.size <= 64
@@ -111,7 +110,7 @@ def test_03_full_vs_minibatch_agreement(announce):
 def test_04_hand_computed_loss(announce):
     reps = np.array([[0.0], [2.0], [1.0], [3.0]])
     result = magnet_minibatch_loss(
-        reps, np.array([0, 0, 1, 1]), np.array([0, 1]), MagnetConfig(alpha=2.0)
+        reps, np.array([0, 0, 1, 1]), np.array([0, 1]), 2.0
     )
     diff = abs(result.mean_loss - 1.625)
     ok = diff < 1e-9

@@ -106,6 +106,18 @@ class TestGenData:
         assert capsys.readouterr().err.startswith("error: inputs must be a non-empty")
         assert not out.exists()
 
+    def test_out_of_memory_errors(self, tmp_path, capsys, monkeypatch):
+        # numpy refuses a too-large spec's arrays up front with a MemoryError;
+        # a stand-in raises it here so that the test allocates nothing large
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.46 TiB for an array")
+
+        monkeypatch.setattr("magnetdml.cli.generate_mixture", refuse)
+        out = tmp_path / "o.csv"
+        assert main(["gen-data", str(write_spec(tmp_path)), str(out)]) == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 1.46 TiB for an array\n"
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("command", ["gen-data", "train"])
 @pytest.mark.parametrize("case", BAD_SPECS)
@@ -359,3 +371,8 @@ class TestGradCheck:
             "ncm      pass  max_rel_err=1.426e-08 checked=200 skipped=0\n"
             "softmax  pass  max_rel_err=8.789e-09 checked=200 skipped=0\n"
             "triplet  pass  max_rel_err=5.106e-09 checked=200 skipped=0\n")
+
+    def test_bad_optimizer_config_errors(self, tmp_path, capsys):
+        config = write_config(tmp_path, learning_rate=0)
+        assert main(["grad-check", str(config)]) == 1
+        assert capsys.readouterr() == ("", "error: learning_rate must be positive\n")

@@ -51,6 +51,11 @@ def test_every_field_round_trips(tmp_path):
     ({"seed": "-1"}, "seed must be >= 0"),
     ({"objective": "triplet", "batch_size": "0"}, "batch_size >= 1"),
     ({"m": "7", "d": "7"}, "exceeds the batch cap 48"),
+    ({"learning_rate": "0"}, "learning_rate must be positive"),
+    ({"momentum": "1"}, r"momentum must lie in \[0, 1\)"),
+    ({"anneal_factor": "0"}, r"anneal_factor must lie in \(0, 1\]"),
+    ({"anneal_factor": "1.5"}, r"anneal_factor must lie in \(0, 1\]"),
+    ({"epoch_length": "0"}, "epoch_length must be >= 1"),
 ])
 def test_bad_values_rejected(tmp_path, overrides, match):
     with pytest.raises(ConfigurationError, match=match):

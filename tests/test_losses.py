@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from magnetdml import (
     Dataset,
     EmbeddingModel,
-    MagnetConfig,
     NcmModel,
     build_index,
     magnet_as_triplet,
@@ -30,14 +29,14 @@ def four_point_batch():
 class TestMagnetMinibatch:
     def test_hand_computed_four_points(self):
         reps, clusters, classes = four_point_batch()
-        res = magnet_minibatch_loss(reps, clusters, classes, MagnetConfig(alpha=2.0))
+        res = magnet_minibatch_loss(reps, clusters, classes, 2.0)
         assert np.allclose(res.example_losses, [0.875, 2.375, 2.375, 0.875], atol=1e-12)
         assert np.isclose(res.mean_loss, 1.625, atol=1e-12)
         assert np.isclose(res.batch_variance, 4.0 / 3.0)
 
     def test_satisfied_margin_zero_loss_and_grads(self):
         reps = np.array([[0.0], [0.1], [1000.0], [1000.1]])
-        res = magnet_minibatch_loss(reps, [0, 0, 1, 1], [0, 1], MagnetConfig(alpha=0.0))
+        res = magnet_minibatch_loss(reps, [0, 0, 1, 1], [0, 1], 0.0)
         assert res.mean_loss == 0.0
         assert (res.rep_grads == 0).all()
 
@@ -47,9 +46,9 @@ class TestMagnetMinibatch:
         reps = rng.standard_normal((12, 4))
         clusters = np.repeat(np.arange(4), 3)
         classes = np.array([0, 1, 0, 1])
-        cfg = MagnetConfig(alpha=1.0)
-        base = magnet_minibatch_loss(reps, clusters, classes, cfg).mean_loss
-        scaled = magnet_minibatch_loss(t * reps, clusters, classes, cfg).mean_loss
+        alpha = 1.0
+        base = magnet_minibatch_loss(reps, clusters, classes, alpha).mean_loss
+        scaled = magnet_minibatch_loss(t * reps, clusters, classes, alpha).mean_loss
         assert np.isclose(base, scaled, atol=1e-9)
 
     def test_monotone_in_alpha(self):
@@ -58,7 +57,7 @@ class TestMagnetMinibatch:
         clusters = np.repeat(np.arange(4), 2)
         classes = np.array([0, 1, 0, 1])
         losses = [
-            magnet_minibatch_loss(reps, clusters, classes, MagnetConfig(alpha=a)).mean_loss
+            magnet_minibatch_loss(reps, clusters, classes, a).mean_loss
             for a in (0.0, 0.5, 1.0, 2.0, 5.0)
         ]
         assert all(a <= b + 1e-12 for a, b in zip(losses, losses[1:]))
@@ -68,10 +67,10 @@ class TestMagnetMinibatch:
         reps = rng.standard_normal((8, 3))
         clusters = np.repeat(np.arange(4), 2)
         classes = np.array([0, 1, 0, 1])
-        cfg = MagnetConfig(alpha=1.0)
-        base = magnet_minibatch_loss(reps, clusters, classes, cfg)
+        alpha = 1.0
+        base = magnet_minibatch_loss(reps, clusters, classes, alpha)
         perm = rng.permutation(8)
-        shuffled = magnet_minibatch_loss(reps[perm], clusters[perm], classes, cfg)
+        shuffled = magnet_minibatch_loss(reps[perm], clusters[perm], classes, alpha)
         assert np.isclose(base.mean_loss, shuffled.mean_loss, atol=1e-12)
         assert np.allclose(base.example_losses[perm], shuffled.example_losses, atol=1e-12)
 
@@ -80,8 +79,8 @@ class TestMagnetMinibatch:
         reps = rng.standard_normal((8, 3))
         clusters = np.repeat(np.arange(4), 2)
         classes = np.array([0, 1, 0, 1])
-        cfg = MagnetConfig(alpha=0.7)
-        res = magnet_minibatch_loss(reps, clusters, classes, cfg)
+        alpha = 0.7
+        res = magnet_minibatch_loss(reps, clusters, classes, alpha)
         h = 1e-6
         for i in range(8):
             for j in range(3):
@@ -89,15 +88,15 @@ class TestMagnetMinibatch:
                 rp[i, j] += h
                 rm[i, j] -= h
                 fd = (
-                    magnet_minibatch_loss(rp, clusters, classes, cfg).mean_loss
-                    - magnet_minibatch_loss(rm, clusters, classes, cfg).mean_loss
+                    magnet_minibatch_loss(rp, clusters, classes, alpha).mean_loss
+                    - magnet_minibatch_loss(rm, clusters, classes, alpha).mean_loss
                 ) / (2 * h)
                 assert abs(fd - res.rep_grads[i, j]) < 1e-6 * max(1, abs(fd))
 
     def test_single_class_batch_rejected(self):
         reps = np.zeros((4, 1))
         with pytest.raises(ContractError):
-            magnet_minibatch_loss(reps, [0, 0, 1, 1], [0, 0], MagnetConfig())
+            magnet_minibatch_loss(reps, [0, 0, 1, 1], [0, 0])
 
 
 class TestMagnetFullObjective:
@@ -108,7 +107,7 @@ class TestMagnetFullObjective:
         model.weights[0][:] = 1.0
         model.biases[0][:] = 0.0
         idx = build_index(model, ds, k=1, seed=0)
-        loss = magnet_full_objective(idx, model.embed(ds.inputs), ds.labels, MagnetConfig(alpha=1.0))
+        loss = magnet_full_objective(idx, model.embed(ds.inputs), ds.labels, 1.0)
         assert loss == 0.0
 
     def test_matches_minibatch_on_full_dataset(self):
@@ -118,7 +117,7 @@ class TestMagnetFullObjective:
         model.weights[0][:] = 1.0
         model.biases[0][:] = 0.0
         idx = build_index(model, ds, k=1, seed=0)
-        full = magnet_full_objective(idx, reps, ds.labels, MagnetConfig(alpha=2.0))
+        full = magnet_full_objective(idx, reps, ds.labels, 2.0)
         assert np.isclose(full, 1.625, atol=1e-12)
 
     def test_unit_slope_in_alpha_once_active(self):
@@ -128,8 +127,8 @@ class TestMagnetFullObjective:
         model.weights[0][:] = 1.0
         model.biases[0][:] = 0.0
         idx = build_index(model, ds, k=1, seed=0)
-        l10 = magnet_full_objective(idx, reps, ds.labels, MagnetConfig(alpha=10.0))
-        l11 = magnet_full_objective(idx, reps, ds.labels, MagnetConfig(alpha=11.0))
+        l10 = magnet_full_objective(idx, reps, ds.labels, 10.0)
+        l11 = magnet_full_objective(idx, reps, ds.labels, 11.0)
         assert np.isclose(l11 - l10, 1.0, atol=1e-9)
 
 
@@ -202,6 +201,29 @@ class TestMagnetAsTriplet:
     def test_far_negative_zero(self):
         pair = np.array([[0.0], [1.0]])
         assert magnet_as_triplet(pair, np.array([1e6]), alpha=1.0) == 0.0
+
+
+def _full_objective(alpha):
+    reps, clusters, classes = four_point_batch()
+    ds = Dataset(reps, classes[clusters])
+    idx = build_index(EmbeddingModel([1, 1], seed=0), ds, k=1, seed=0)
+    return magnet_full_objective(idx, reps, ds.labels, alpha)
+
+
+# each loss, called with a given alpha
+ALPHA_LOSSES = {
+    "triplet_loss": lambda alpha: triplet_loss([[0.0]], [[1.0]], [[3.0]], alpha),
+    "magnet_minibatch_loss": lambda alpha: magnet_minibatch_loss(*four_point_batch(), alpha),
+    "magnet_full_objective": _full_objective,
+    "magnet_as_triplet": lambda alpha: magnet_as_triplet(np.zeros((2, 1)), np.ones(1), alpha),
+}
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("loss", sorted(ALPHA_LOSSES))
+def test_non_finite_alpha_rejected(loss, alpha):
+    with pytest.raises(ConfigurationError, match="alpha must be finite"):
+        ALPHA_LOSSES[loss](alpha)
 
 
 class TestNca:
@@ -361,7 +383,6 @@ def test_magnet_scale_invariance_property(scale, alpha, seed):
     reps = rng.standard_normal((8, 2))
     clusters = np.repeat(np.arange(4), 2)
     classes = np.array([0, 1, 0, 1])
-    cfg = MagnetConfig(alpha=alpha)
-    a = magnet_minibatch_loss(reps, clusters, classes, cfg).mean_loss
-    b = magnet_minibatch_loss(scale * reps, clusters, classes, cfg).mean_loss
+    a = magnet_minibatch_loss(reps, clusters, classes, alpha).mean_loss
+    b = magnet_minibatch_loss(scale * reps, clusters, classes, alpha).mean_loss
     assert abs(a - b) < 1e-9 * max(1.0, a)

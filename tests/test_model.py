@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magnetdml import EmbeddingModel, OptimizerConfig, grad_check
+from magnetdml import EmbeddingModel, ExperimentConfig, grad_check
 from magnetdml.errors import ConfigurationError, ContractError, ParseError
 
 
@@ -11,7 +11,7 @@ def quadratic_probe(inputs):
     def probe(model):
         reps, trace = model.forward(inputs)
         grads = model.backward(trace, 2.0 * reps)
-        return float((reps * reps).sum()), model.flatten_grads(grads), trace.hidden_preacts()
+        return float((reps * reps).sum()), grads, trace.preacts[:-1]
     return probe
 
 
@@ -66,7 +66,7 @@ class TestBackward:
     def test_stale_trace_rejected(self):
         m = EmbeddingModel([2, 2], seed=0)
         reps, trace = m.forward(np.zeros((1, 2)))
-        m.sgd_step(m.backward(trace, reps * 0), OptimizerConfig(learning_rate=0.1), 0)
+        m.sgd_step(m.backward(trace, reps * 0), ExperimentConfig(learning_rate=0.1), 0)
         with pytest.raises(ContractError):
             m.backward(trace, reps * 0)
 
@@ -76,13 +76,13 @@ class TestSgdStep:
         m = EmbeddingModel([1, 1], seed=0)
         m.weights[0][:] = 1.0
         grads = ([np.array([[2.0]])], [np.zeros(1)])
-        m.sgd_step(grads, OptimizerConfig(learning_rate=0.1, momentum=0.0), 0)
+        m.sgd_step(grads, ExperimentConfig(learning_rate=0.1, momentum=0.0), 0)
         assert np.isclose(m.weights[0][0, 0], 0.8)
 
     def test_momentum_two_step_displacement(self):
         m = EmbeddingModel([1, 1], seed=0)
         m.weights[0][:] = 0.0
-        cfg = OptimizerConfig(learning_rate=0.1, momentum=0.9)
+        cfg = ExperimentConfig(learning_rate=0.1, momentum=0.9)
         g = ([np.array([[1.0]])], [np.zeros(1)])
         m.sgd_step(g, cfg, 0)
         before = m.weights[0][0, 0]
@@ -93,8 +93,8 @@ class TestSgdStep:
     def test_annealing_exponent(self):
         m = EmbeddingModel([1, 1], seed=0)
         m.weights[0][:] = 0.0
-        cfg = OptimizerConfig(learning_rate=0.4, momentum=0.0,
-                              anneal_factor=0.5, epoch_length=10)
+        cfg = ExperimentConfig(learning_rate=0.4, momentum=0.0,
+                               anneal_factor=0.5, epoch_length=10)
         g = ([np.array([[1.0]])], [np.zeros(1)])
         m.sgd_step(g, cfg, 25)
         # effective rate = 0.4 * 0.5^2 = 0.1
@@ -104,7 +104,7 @@ class TestSgdStep:
         m = EmbeddingModel([2, 3], seed=1)
         before = m.get_flat_params()
         g = ([np.zeros_like(m.weights[0])], [np.zeros_like(m.biases[0])])
-        m.sgd_step(g, OptimizerConfig(learning_rate=0.5), 0)
+        m.sgd_step(g, ExperimentConfig(learning_rate=0.5), 0)
         assert (m.get_flat_params() == before).all()
 
 
@@ -121,10 +121,9 @@ class TestGradCheck:
         base = quadratic_probe(x)
 
         def corrupted(model):
-            loss, flat, kinks = base(model)
-            flat = flat.copy()
-            flat[0] *= 2.0  # one weight gradient scaled x2
-            return loss, flat, kinks
+            loss, (w_grads, b_grads), kinks = base(model)
+            w_grads[0].flat[0] *= 2.0  # one weight gradient scaled x2
+            return loss, (w_grads, b_grads), kinks
 
         report = grad_check(m, corrupted, tolerance=1e-4, num_coords=flat_size(m))
         assert not report.passed
@@ -153,7 +152,7 @@ class TestCheckpoint:
     def test_determinism_of_training_trajectory(self):
         def run():
             m = EmbeddingModel([2, 4, 2], seed=3)
-            cfg = OptimizerConfig(learning_rate=0.05)
+            cfg = ExperimentConfig(learning_rate=0.05)
             x = np.random.default_rng(1).standard_normal((8, 2))
             for it in range(20):
                 reps, trace = m.forward(x)

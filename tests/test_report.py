@@ -82,7 +82,7 @@ def stepped_after_train(config, tmp_path):
     result = train(config, *pin_data())
     model = result.step.model
     reps, trace = model.forward(result.train_data.inputs[:4])
-    model.sgd_step(model.backward(trace, np.ones_like(reps)), config.optimizer(), 0)
+    model.sgd_step(model.backward(trace, np.ones_like(reps)), config, 0)
     return config, result
 
 
