@@ -34,11 +34,11 @@ from .gradcheck import grad_check
 from .index import ClusterIndex, build_index, class_kmeans, kmeans
 from .losses import (
     LinearHead,
-    NcmModel,
     magnet_as_triplet,
     magnet_full_objective,
     magnet_minibatch_loss,
     nca_loss,
+    ncm_centroids,
     ncm_classify,
     ncm_loss,
     softmax_xent,

@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import ExperimentConfig, parse_config
+from .config import parse_config
 from .data import MixtureSpec, generate_mixture, load_dataset, save_dataset
 from .errors import ConfigurationError, ContractError, ParseError
 from .evaluate import classify_batch, error_rate, knc_context, soft_knn_context

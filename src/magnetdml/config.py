@@ -64,8 +64,16 @@ class ExperimentConfig:
             raise ConfigurationError("momentum must lie in [0, 1)")
         if not 0 < self.anneal_factor <= 1:
             raise ConfigurationError("anneal_factor must lie in (0, 1]")
-        if self.epoch_length < 1:
-            raise ConfigurationError("epoch_length must be >= 1")
+        for name, low in (("epoch_length", 1), ("m", 2), ("d", 1), ("k", 1), ("ncm_k", 1),
+                          ("eval_l", 1)):
+            if getattr(self, name) < low:
+                raise ConfigurationError(f"{name} must be >= {low}")
+        if not 0 <= self.sigma_decay < 1:
+            raise ConfigurationError("sigma_decay must lie in [0, 1)")
+        if not 0 < self.impostor_fraction <= 1:
+            raise ConfigurationError("impostor_fraction must lie in (0, 1]")
+        if self.objective == "triplet" and self.alpha < 0:
+            raise ConfigurationError("alpha must be >= 0 for objective = triplet")
         if self.objective == "magnet" and self.m * self.d > MAX_BATCH:
             raise ConfigurationError(
                 f"m*d = {self.m * self.d} exceeds the batch cap {MAX_BATCH}"

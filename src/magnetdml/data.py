@@ -91,7 +91,7 @@ class MixtureSpec:
         if not self.classes:
             raise ConfigurationError("mixture spec has no classes")
         dims = set()
-        attr_dims = set()
+        attr_dims = set()  # attribute lengths; None marks a mode without attributes
         for c, modes in enumerate(self.classes):
             if not modes:
                 raise ConfigurationError(f"class {c} has no modes")
@@ -101,10 +101,11 @@ class MixtureSpec:
                 if mode.deviation < 0:
                     raise ConfigurationError(f"class {c} has a negative deviation")
                 dims.add(len(mode.center))
-                if mode.attributes is not None:
-                    attr_dims.add(len(mode.attributes))
+                attr_dims.add(None if mode.attributes is None else len(mode.attributes))
         if len(dims) != 1:
             raise ConfigurationError("all mode centers must share one dimension")
+        if None in attr_dims and len(attr_dims) > 1:
+            raise ConfigurationError("either all modes or no modes must carry attributes")
         if len(attr_dims) > 1:
             raise ConfigurationError("all attribute vectors must share one length")
 
@@ -149,10 +150,6 @@ def generate_mixture(spec: MixtureSpec, seed: int) -> Dataset:
             inputs.append(x)
             labels.extend([c] * mode.count)
             if has_attrs:
-                if mode.attributes is None:
-                    raise ConfigurationError(
-                        "either all modes or no modes must carry attributes"
-                    )
                 attrs.append(np.tile(np.asarray(mode.attributes, dtype=np.int8), (mode.count, 1)))
     return Dataset(
         inputs=np.vstack(inputs),

@@ -99,8 +99,8 @@ def check_all_objectives(
     """Finite-difference checks for every objective on a tiny random dataset.
 
     All objectives but NCM are checked through an MLP of ``layer_dims``. NCM's
-    only trainable parameters are its linear map, so it is checked through
-    the one-layer model whose weight is that map, as it trains.
+    only trainable parameter is its linear map, the weight of its step's
+    one-layer model, so it is checked through that model, as it trains.
     """
     rng = np.random.default_rng(seed)
     mlp = dict(layer_dims=list(layer_dims), seed=seed)
@@ -113,7 +113,7 @@ def check_all_objectives(
     cases["magnet"] = (
         ExperimentConfig(objective="magnet", alpha=0.7, **mlp),
         Dataset(inputs, classes[example_clusters]),
-        Neighbourhood(np.arange(m), classes, np.arange(m * d), example_clusters, inputs))
+        Neighbourhood(np.arange(m), classes, np.arange(m * d), example_clusters))
 
     count = 8
     cases["triplet"] = (

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import ConfigurationError, ContractError
 from .index import VARIANCE_FLOOR, class_kmeans, sqdist
-from .model import momentum_sgd
+from .model import EmbeddingModel, momentum_sgd
 
 
 @dataclass
@@ -236,38 +235,24 @@ def nca_loss(representations: np.ndarray, labels: np.ndarray) -> NcaLossResult:
     )
 
 
-@dataclass
-class NcmModel:
-    """Linear map trained against fixed raw-input class means or centroids.
-
-    ``centroids`` is (C, K, d); for the single-mean mode K = 1. The centroids
-    are computed once from training inputs and never updated.
-    """
-
-    w: np.ndarray
-    centroids: np.ndarray
-
-    @classmethod
-    def fit_centroids(cls, inputs, labels, out_dim: int, k: int, seed: int = 0) -> "NcmModel":
-        centers, _, _ = class_kmeans(inputs, labels, k, seed, small="pad")
-        d = centers.shape[1]
-        return cls(w=_init_linear(out_dim, d, seed), centroids=centers.reshape(-1, k, d))
+def ncm_centroids(inputs, labels, k: int, seed: int = 0) -> np.ndarray:
+    """The fixed (C, K, d) raw-input class centroids: per-class K-means, a
+    class of fewer than K examples padded by repeating its centers; for the
+    single-mean mode K = 1. Computed once from training inputs."""
+    centers, _, _ = class_kmeans(inputs, labels, k, seed, small="pad")
+    return centers.reshape(-1, k, centers.shape[1])
 
 
-def _init_linear(out_dim, in_dim, seed):
-    s = np.sqrt(6.0 / (in_dim + out_dim))
-    return np.random.default_rng(seed).uniform(-s, s, size=(out_dim, in_dim))
-
-
-def _ncm_sqdist(model: NcmModel, x: np.ndarray) -> np.ndarray:
+def _ncm_sqdist(w: np.ndarray, centroids: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Squared distances (N, C, K) between the mapped inputs and centroids."""
-    c, k, d = model.centroids.shape
-    flat = model.centroids.reshape(c * k, d)
-    return sqdist(x @ model.w.T, flat @ model.w.T).reshape(len(x), c, k)
+    c, k, d = centroids.shape
+    flat = centroids.reshape(c * k, d)
+    return sqdist(x @ w.T, flat @ w.T).reshape(len(x), c, k)
 
 
-def ncm_loss(model: NcmModel, inputs: np.ndarray, labels: np.ndarray):
-    """Softmax-over-negative-squared-distances to fixed class centroids.
+def ncm_loss(w: np.ndarray, centroids: np.ndarray, inputs: np.ndarray, labels: np.ndarray):
+    """Softmax-over-negative-squared-distances to fixed class centroids
+    (C, K, d) under the linear map ``w``.
 
     Per-class score uses the nearest centroid of that class under the current
     map. Returns (mean loss, gradient with respect to W).
@@ -275,24 +260,24 @@ def ncm_loss(model: NcmModel, inputs: np.ndarray, labels: np.ndarray):
     x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     labels = np.asarray(labels)
     n = len(x)
-    c, k, d = model.centroids.shape
-    dist2 = _ncm_sqdist(model, x)
+    c, k, d = centroids.shape
+    dist2 = _ncm_sqdist(w, centroids, x)
     best = dist2.argmin(axis=2)
     z = -dist2[np.arange(n)[:, None], np.arange(c)[None, :], best]
     loss, dz = softmax_xent(z, labels)
     # dL/dW = -2 W S with S = sum_{n,c} dz[n,c] (x_n - c_best)(x_n - c_best)^T,
     # expanded over the flat centroids: D holds dz[n,c] at column c*K + best
-    flat = model.centroids.reshape(c * k, d)
+    flat = centroids.reshape(c * k, d)
     dmat = np.zeros((n, c * k))
     dmat[np.arange(n)[:, None], np.arange(c) * k + best] = dz
     xdc = x.T @ dmat @ flat
     s = (x.T * dmat.sum(axis=1)) @ x - xdc - xdc.T + (flat.T * dmat.sum(axis=0)) @ flat
-    return loss, -2.0 * model.w @ s
+    return loss, -2.0 * w @ s
 
 
-def ncm_classify(model: NcmModel, inputs: np.ndarray) -> np.ndarray:
+def ncm_classify(w: np.ndarray, centroids: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    return _ncm_sqdist(model, x).min(axis=2).argmin(axis=1)
+    return _ncm_sqdist(w, centroids, x).min(axis=2).argmin(axis=1)
 
 
 def softmax_xent(logits: np.ndarray, labels: np.ndarray):
@@ -316,15 +301,15 @@ class LinearHead:
 
     w: np.ndarray
     b: np.ndarray
-    w_velocity: np.ndarray = None
-    b_velocity: np.ndarray = None
+    w_velocity: np.ndarray
+    b_velocity: np.ndarray
 
     @classmethod
     def create(cls, rep_dim: int, class_count: int, seed: int = 0) -> "LinearHead":
-        head = cls(w=_init_linear(class_count, rep_dim, seed), b=np.zeros(class_count))
-        head.w_velocity = np.zeros_like(head.w)
-        head.b_velocity = np.zeros_like(head.b)
-        return head
+        """A head with the Glorot-uniform weight, zero bias and zero velocities
+        of a one-layer ``EmbeddingModel([rep_dim, class_count], seed)``."""
+        layer = EmbeddingModel([rep_dim, class_count], seed)
+        return cls(layer.weights[0], layer.biases[0], layer.w_velocity[0], layer.b_velocity[0])
 
     def logits(self, reps: np.ndarray) -> np.ndarray:
         return reps @ self.w.T + self.b

@@ -8,7 +8,6 @@ from itertools import repeat
 
 import numpy as np
 
-from .data import Dataset
 from .errors import ConfigurationError
 from .index import ClusterIndex
 
@@ -23,7 +22,6 @@ class Neighbourhood:
     cluster_classes: np.ndarray
     example_indices: np.ndarray  # (M*D,) indices into the dataset
     example_clusters: np.ndarray  # (M*D,) values in [0, M)
-    inputs: np.ndarray
     replacement_fallback: bool = False
     truncated: bool = False
 
@@ -38,9 +36,7 @@ def seed_distribution(index: ClusterIndex) -> np.ndarray:
     return means / total
 
 
-def sample_neighbourhood(
-    index: ClusterIndex, dataset: Dataset, m: int, d: int, rng
-) -> Neighbourhood:
+def sample_neighbourhood(index: ClusterIndex, m: int, d: int, rng) -> Neighbourhood:
     """Sample a seed cluster from the loss-proportional distribution, retrieve
     its m-1 nearest impostor clusters and draw d examples per cluster
     uniformly (without replacement; with replacement when a cluster has fewer
@@ -63,13 +59,11 @@ def sample_neighbourhood(
         fallback |= short
         chosen.append(rng.choice(members, size=d, replace=short))
 
-    example_indices = np.concatenate(chosen)
     return Neighbourhood(
         clusters=rows,
         cluster_classes=index.cluster_classes[rows],
-        example_indices=example_indices,
+        example_indices=np.concatenate(chosen),
         example_clusters=np.repeat(np.arange(len(rows)), d),
-        inputs=dataset.inputs[example_indices],
         replacement_fallback=fallback,
         truncated=truncated,
     )

@@ -196,10 +196,10 @@ class _MagnetStep(_Step):
                                  loss_cache=self.loss_cache)
 
     def sample(self, rng):
-        return sample_neighbourhood(self.index, self.train_data, self.config.m, self.config.d, rng)
+        return sample_neighbourhood(self.index, self.config.m, self.config.d, rng)
 
     def objective(self, model, nb):
-        reps, trace = model.forward(nb.inputs)
+        reps, trace = model.forward(self.train_data.inputs[nb.example_indices])
         result = L.magnet_minibatch_loss(
             reps, nb.example_clusters, nb.cluster_classes, self.config.alpha)
         kinks = trace.preacts[:-1] + [result.hinge_args]
@@ -316,29 +316,29 @@ class _SoftmaxStep(_Step):
 
 
 class _NcmStep(_Step):
-    """Full-batch NCM/NCMC. The learned linear map is the single weight of a
-    bias-free one-layer embedding model, which ``ncm.w`` shares."""
+    """Full-batch NCM/NCMC. The learned linear map is the weight of a one-layer
+    embedding model whose bias stays zero; the model owns it, and the loss
+    and the classifier read it from there. ``centroids`` are the fixed (C, K,
+    d) raw-input class centroids (K = 1 for NCM)."""
 
     metric = "nearest_class_mean"
 
     def __init__(self, config, train_data, test_data):
-        x, y, out_dim = train_data.inputs, train_data.labels, config.layer_dims[-1]
         k = config.ncm_k if config.objective == "ncmc" else 1
-        self.ncm = L.NcmModel.fit_centroids(x, y, out_dim, k=k, seed=config.seed)
-        model = EmbeddingModel([train_data.dim, out_dim], seed=0)
-        model.weights[0] = self.ncm.w
+        self.centroids = L.ncm_centroids(train_data.inputs, train_data.labels, k, config.seed)
+        model = EmbeddingModel([train_data.dim, config.layer_dims[-1]], seed=config.seed)
         super().__init__(config, train_data, test_data, model)
 
     def sample(self, rng):
         return {"full_batch": True}
 
     def objective(self, model, batch):
-        ncm = L.NcmModel(model.weights[0], self.ncm.centroids)
-        loss, grad_w = L.ncm_loss(ncm, self.train_data.inputs, self.train_data.labels)
+        loss, grad_w = L.ncm_loss(model.weights[0], self.centroids,
+                                  self.train_data.inputs, self.train_data.labels)
         return loss, ([grad_w], [np.zeros_like(model.biases[0])]), [], None
 
     def predict(self, sigma2, iteration) -> np.ndarray:
-        return L.ncm_classify(self.ncm, self.test_data.inputs)
+        return L.ncm_classify(self.model.weights[0], self.centroids, self.test_data.inputs)
 
 
 _STEPS = {

@@ -376,3 +376,9 @@ class TestGradCheck:
         config = write_config(tmp_path, learning_rate=0)
         assert main(["grad-check", str(config)]) == 1
         assert capsys.readouterr() == ("", "error: learning_rate must be positive\n")
+
+    def test_bad_eval_l_errors(self, tmp_path, capsys):
+        # eval_l = 0 used to pass every check and fail only at a run's first eval
+        config = write_config(tmp_path, eval_l=0)
+        assert main(["grad-check", str(config)]) == 1
+        assert capsys.readouterr() == ("", "error: eval_l must be >= 1\n")

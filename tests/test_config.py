@@ -56,6 +56,16 @@ def test_every_field_round_trips(tmp_path):
     ({"anneal_factor": "0"}, r"anneal_factor must lie in \(0, 1\]"),
     ({"anneal_factor": "1.5"}, r"anneal_factor must lie in \(0, 1\]"),
     ({"epoch_length": "0"}, "epoch_length must be >= 1"),
+    ({"objective": "triplet", "alpha": "-0.5"}, "alpha must be >= 0 for objective = triplet"),
+    ({"eval_l": "0"}, "eval_l must be >= 1"),
+    ({"sigma_decay": "1"}, r"sigma_decay must lie in \[0, 1\)"),
+    ({"sigma_decay": "-0.1"}, r"sigma_decay must lie in \[0, 1\)"),
+    ({"impostor_fraction": "0"}, r"impostor_fraction must lie in \(0, 1\]"),
+    ({"impostor_fraction": "1.5"}, r"impostor_fraction must lie in \(0, 1\]"),
+    ({"m": "1"}, "m must be >= 2"),
+    ({"d": "0"}, "d must be >= 1"),
+    ({"k": "0"}, "k must be >= 1"),
+    ({"ncm_k": "0"}, "ncm_k must be >= 1"),
 ])
 def test_bad_values_rejected(tmp_path, overrides, match):
     with pytest.raises(ConfigurationError, match=match):

@@ -74,6 +74,13 @@ class TestGenerateMixture:
         ds = generate_mixture(spec, seed=0)
         assert ds.attributes.sum(axis=0).tolist() == [2, 3]
 
+    def test_mixed_attributes_rejected_by_validate(self):
+        # checked with the spec, before any data are drawn
+        spec = MixtureSpec(classes=[[Mode([0.0], 1.0, 2, attributes=[1, 0])],
+                                    [Mode([1.0], 1.0, 2)]])
+        with pytest.raises(ConfigurationError, match="either all modes or no modes"):
+            spec.validate()
+
 
 class TestLoadDataset:
     def test_basic(self, tmp_path):

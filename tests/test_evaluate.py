@@ -14,7 +14,7 @@ from magnetdml import (
 )
 from magnetdml.errors import ConfigurationError, ContractError
 from magnetdml.evaluate import _finite_scores, _stable_nearest
-from magnetdml.losses import NcmModel, ncm_classify
+from magnetdml.losses import ncm_centroids, ncm_classify
 
 
 class TestKnc:
@@ -58,12 +58,11 @@ class TestKnc:
         rng = np.random.default_rng(1)
         x = rng.standard_normal((60, 2))
         y = rng.integers(0, 3, 60)
-        ncm = NcmModel.fit_centroids(x, y, out_dim=2, k=1)
-        ncm.w = np.eye(2)
-        ctx = EvalContext(ncm.centroids[:, 0, :], np.arange(3), sigma2=1.0, l=3)
+        centroids = ncm_centroids(x, y, k=1)
+        ctx = EvalContext(centroids[:, 0, :], np.arange(3), sigma2=1.0, l=3)
         queries = rng.standard_normal((200, 2))
         knc_pred = classify_batch(ctx, queries)
-        ncm_pred = ncm_classify(ncm, queries)
+        ncm_pred = ncm_classify(np.eye(2), centroids, queries)
         assert (knc_pred == ncm_pred).all()
 
     def test_soft_knn_is_same_rule_over_examples(self):

@@ -6,18 +6,20 @@ from hypothesis import strategies as st
 from magnetdml import (
     Dataset,
     EmbeddingModel,
-    NcmModel,
+    ExperimentConfig,
     build_index,
     magnet_as_triplet,
     magnet_full_objective,
     magnet_minibatch_loss,
     nca_loss,
+    ncm_centroids,
     ncm_classify,
     ncm_loss,
     softmax_xent,
     triplet_loss,
 )
 from magnetdml.errors import ConfigurationError, ContractError
+from magnetdml.training import _STEPS
 
 
 def four_point_batch():
@@ -277,71 +279,89 @@ class TestNca:
 class TestNcm:
     def identity_model(self, means):
         means = np.asarray(means, dtype=np.float64)
-        return NcmModel(w=np.eye(means.shape[-1]), centroids=means)
+        return np.eye(means.shape[-1]), means
 
     def test_equidistant_symmetry(self):
         m = self.identity_model([[[0.0]], [[4.0]]])
-        loss, _ = ncm_loss(m, np.array([[2.0]]), np.array([0]))
+        loss, _ = ncm_loss(*m, np.array([[2.0]]), np.array([0]))
         assert np.isclose(loss, np.log(2.0))
 
     def test_on_mean_hand_value(self):
         m = self.identity_model([[[0.0]], [[4.0]]])
-        loss, _ = ncm_loss(m, np.array([[0.0]]), np.array([0]))
+        loss, _ = ncm_loss(*m, np.array([[0.0]]), np.array([0]))
         assert np.isclose(loss, np.log(1 + np.exp(-16.0)), rtol=1e-9)
 
     def test_collapsed_map_gives_log_c(self):
-        m = NcmModel(w=np.zeros((2, 1)), centroids=np.array([[[0.0]], [[4.0]], [[9.0]]]))
-        loss, _ = ncm_loss(m, np.array([[2.0], [7.0]]), np.array([0, 2]))
+        centroids = np.array([[[0.0]], [[4.0]], [[9.0]]])
+        loss, _ = ncm_loss(np.zeros((2, 1)), centroids, np.array([[2.0], [7.0]]), np.array([0, 2]))
         assert np.isclose(loss, np.log(3.0))
 
     def test_multi_centroid_uses_nearest(self):
         # class 0 has centroids at 0 and 10; an example at 9.5 should score
         # class 0 via the centroid at 10
         centroids = np.array([[[0.0], [10.0]], [[5.0], [5.0]]])
-        m = NcmModel(w=np.eye(1), centroids=centroids)
-        preds = ncm_classify(m, np.array([[9.5]]))
+        preds = ncm_classify(np.eye(1), centroids, np.array([[9.5]]))
         assert preds.tolist() == [0]
 
     def test_gradient_finite_differences(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((9, 3))
         y = np.array([0, 1, 2] * 3)
-        m = NcmModel.fit_centroids(x, y, out_dim=2, k=2, seed=0)
-        _, gw = ncm_loss(m, x, y)
+        w, centroids = EmbeddingModel([3, 2], seed=0).weights[0], ncm_centroids(x, y, k=2, seed=0)
+        _, gw = ncm_loss(w, centroids, x, y)
         h = 1e-6
         for i in range(gw.shape[0]):
             for j in range(gw.shape[1]):
-                wp, wm = m.w.copy(), m.w.copy()
+                wp, wm = w.copy(), w.copy()
                 wp[i, j] += h
                 wm[i, j] -= h
-                lp, _ = ncm_loss(NcmModel(wp, m.centroids), x, y)
-                lm, _ = ncm_loss(NcmModel(wm, m.centroids), x, y)
+                lp, _ = ncm_loss(wp, centroids, x, y)
+                lm, _ = ncm_loss(wm, centroids, x, y)
                 fd = (lp - lm) / (2 * h)
                 assert abs(fd - gw[i, j]) < 1e-6 * max(1, abs(fd))
 
     def test_fit_means_frozen(self):
         x = np.array([[0.0], [2.0], [10.0], [12.0]])
         y = np.array([0, 0, 1, 1])
-        m = NcmModel.fit_centroids(x, y, out_dim=1, k=1, seed=0)
-        assert np.allclose(m.centroids[:, 0, 0], [1.0, 11.0])
+        centroids = ncm_centroids(x, y, k=1, seed=0)
+        assert np.allclose(centroids[:, 0, 0], [1.0, 11.0])
 
     def test_one_point_class_padded_to_k(self):
         # a class smaller than K keeps K rows: its centers repeat to fill them
         x = np.array([[0.0, 1.0], [2.0, 1.0], [4.0, 1.0], [7.0, -3.0]])
         y = np.array([0, 0, 0, 1])
-        m = NcmModel.fit_centroids(x, y, out_dim=2, k=3, seed=0)
-        assert m.centroids.shape == (2, 3, 2)
-        np.testing.assert_array_equal(m.centroids[1], np.tile(x[3], (3, 1)))
+        centroids = ncm_centroids(x, y, k=3, seed=0)
+        assert centroids.shape == (2, 3, 2)
+        np.testing.assert_array_equal(centroids[1], np.tile(x[3], (3, 1)))
 
     def test_misaligned_labels_rejected(self):
         with pytest.raises(ConfigurationError, match="4 points need a non-negative label each, got 3"):
-            NcmModel.fit_centroids(np.zeros((4, 2)), [0, 0, 1], 2, k=1)
+            ncm_centroids(np.zeros((4, 2)), [0, 0, 1], k=1)
 
     def test_class_without_examples_rejected(self):
         # label 1 has no examples; its mean used to be NaN
         x, y = np.array([[0.0], [2.0], [10.0]]), np.array([0, 0, 2])
         with pytest.raises(ConfigurationError, match="class 1 has no examples"):
-            NcmModel.fit_centroids(x, y, out_dim=1, k=1, seed=0)
+            ncm_centroids(x, y, k=1, seed=0)
+
+    def test_step_reads_its_model_weight(self):
+        # the step's model owns the map: after the weight is rebound, predict
+        # and objective read the new array, as after a write in place
+        rng = np.random.default_rng(5)
+        data = Dataset(rng.standard_normal((30, 3)), np.arange(30) % 3)
+        config = ExperimentConfig(objective="ncmc", ncm_k=2, layer_dims=[3, 2], seed=0)
+        fresh, rebound, written = (_STEPS["ncmc"](config, data, data) for _ in range(3))
+        new_w = rng.standard_normal((2, 3))
+        rebound.model.weights[0] = new_w.copy()
+        written.model.weights[0][...] = new_w
+        assert (written.predict(None, 0) != fresh.predict(None, 0)).any()
+        np.testing.assert_array_equal(rebound.predict(None, 0), written.predict(None, 0))
+        batch = rebound.sample(None)
+        loss, (w_grads, b_grads) = rebound.objective(rebound.model, batch)[:2]
+        want_loss, (want_w, want_b) = written.objective(written.model, batch)[:2]
+        assert loss == want_loss
+        np.testing.assert_array_equal(w_grads[0], want_w[0])
+        np.testing.assert_array_equal(b_grads[0], want_b[0])
 
 
 class TestSoftmaxXent:

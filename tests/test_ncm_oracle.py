@@ -28,16 +28,25 @@ is farther by more than 2 tol. The loss and gradient bounds are derived in
 :func:`loss_tolerance` and :func:`grad_tolerance`.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magnetdml.losses import NcmModel, ncm_classify, ncm_loss
+from magnetdml.losses import ncm_classify, ncm_loss
 
 EPS = np.finfo(np.float64).eps
 
 
-def reference_ncm_loss(model: NcmModel, inputs, labels):
+class NcmCase(NamedTuple):
+    """A map and its (C, K, d) centroids, in the order ``ncm_loss`` takes them."""
+
+    w: np.ndarray
+    centroids: np.ndarray
+
+
+def reference_ncm_loss(model: NcmCase, inputs, labels):
     x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     labels = np.asarray(labels)
     n = len(x)
@@ -71,7 +80,7 @@ def reference_dist2(model, x):
     return np.einsum("ncko,ncko->nck", u, u)
 
 
-def reference_ncm_classify(model: NcmModel, inputs):
+def reference_ncm_classify(model: NcmCase, inputs):
     x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     return reference_dist2(model, x).min(axis=2).argmin(axis=1)
 
@@ -157,15 +166,15 @@ def random_case(seed, n, c, k, d, o, distinct, log_scale, w_log_scale, offset, o
     x[hit] = centroids.reshape(c * k, d)[rng.integers(c * k, size=int(hit.sum()))]
     w = rng.standard_normal((o, d)) * 10.0**w_log_scale
     labels = rng.integers(c, size=n)
-    return NcmModel(w=w, centroids=centroids), x, labels
+    return NcmCase(w, centroids), x, labels
 
 
 def check_against_reference(model, x, labels, require_all=False):
-    loss, _ = ncm_loss(model, x, labels)
+    loss, _ = ncm_loss(*model, x, labels)
     want_loss, _ = reference_ncm_loss(model, x, labels)
     assert abs(loss - want_loss) <= loss_tolerance(model, x, want_loss)
 
-    preds = ncm_classify(model, x)
+    preds = ncm_classify(*model, x)
     fixed = fixed_prediction(model, x)
     assert (preds[fixed] == reference_ncm_classify(model, x)[fixed]).all()
 
@@ -175,7 +184,7 @@ def check_against_reference(model, x, labels, require_all=False):
         assert fixed.all() and keep.all()
     if keep.any():
         xs, ys = x[keep], labels[keep]
-        _, grad_w = ncm_loss(model, xs, ys)
+        _, grad_w = ncm_loss(*model, xs, ys)
         _, want_grad = reference_ncm_loss(model, xs, ys)
         assert (np.abs(grad_w - want_grad) <= grad_tolerance(model, xs, ys)).all()
 

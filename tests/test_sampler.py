@@ -59,8 +59,8 @@ class TestSeedDistribution:
 
 class TestSampleNeighbourhood:
     def test_forced_outcome(self):
-        idx, ds = two_cluster_index()
-        nb = sample_neighbourhood(idx, ds, m=2, d=2, rng=0)
+        idx, _ = two_cluster_index()
+        nb = sample_neighbourhood(idx, m=2, d=2, rng=0)
         assert len(nb.clusters) == 2
         assert set(nb.cluster_classes) == {0, 1}
         for slot in range(2):
@@ -70,7 +70,7 @@ class TestSampleNeighbourhood:
     def test_replacement_fallback(self):
         ds = Dataset(np.array([[0.0], [0.5], [1.0], [10.0]]), np.array([0, 0, 0, 1]))
         idx = build_index(identity_model(1), ds, k=1, seed=0)
-        nb = sample_neighbourhood(idx, ds, m=2, d=4, rng=0)
+        nb = sample_neighbourhood(idx, m=2, d=4, rng=0)
         assert nb.replacement_fallback
         assert (nb.example_clusters == np.repeat([0, 1], 4)).all()
 
@@ -80,7 +80,7 @@ class TestSampleNeighbourhood:
         inputs = np.concatenate([rng.normal(5 * c, 0.1, (6, 2)) for c in range(12)])
         ds = Dataset(inputs, np.repeat(np.arange(12), 6))
         idx = build_index(identity_model(2), ds, k=1, seed=0)
-        nb = sample_neighbourhood(idx, ds, m=12, d=4, rng=3)
+        nb = sample_neighbourhood(idx, m=12, d=4, rng=3)
         assert len(nb.clusters) == 12
         assert len(nb.example_indices) == 48
         assert not nb.truncated
@@ -89,7 +89,7 @@ class TestSampleNeighbourhood:
         rng = np.random.default_rng(2)
         ds = Dataset(rng.standard_normal((40, 2)), np.repeat(np.arange(4), 10))
         idx = build_index(identity_model(2), ds, k=2, seed=0)
-        nb = sample_neighbourhood(idx, ds, m=4, d=3, rng=5)
+        nb = sample_neighbourhood(idx, m=4, d=3, rng=5)
         seed_class = nb.cluster_classes[0]
         assert all(c != seed_class for c in nb.cluster_classes[1:])
         # every example belongs to its listed cluster per the index
@@ -97,19 +97,19 @@ class TestSampleNeighbourhood:
             assert idx.example_cluster[row] == nb.clusters[slot]
 
     def test_deterministic_given_seed(self):
-        idx, ds = two_cluster_index()
-        a = sample_neighbourhood(idx, ds, m=2, d=2, rng=7)
-        b = sample_neighbourhood(idx, ds, m=2, d=2, rng=7)
+        idx, _ = two_cluster_index()
+        a = sample_neighbourhood(idx, m=2, d=2, rng=7)
+        b = sample_neighbourhood(idx, m=2, d=2, rng=7)
         assert (a.example_indices == b.example_indices).all()
 
     def test_single_class_rejected(self):
         ds = Dataset(np.array([[0.0], [1.0]]), np.array([0, 0]))
         idx = build_index(identity_model(1), ds, k=2, seed=0)
         with pytest.raises(ConfigurationError):
-            sample_neighbourhood(idx, ds, m=2, d=1, rng=0)
+            sample_neighbourhood(idx, m=2, d=1, rng=0)
 
     def test_seed_frequencies_match_distribution(self):
-        idx, ds = two_cluster_index()
+        idx, _ = two_cluster_index()
         idx.update_loss_cache([0, 3], [1.0, 3.0])
         p = seed_distribution(idx)
         rng = np.random.default_rng(11)
@@ -117,7 +117,7 @@ class TestSampleNeighbourhood:
         hits = 0
         target_row = 1  # class 1, cluster 0
         for _ in range(draws):
-            nb = sample_neighbourhood(idx, ds, m=2, d=1, rng=rng)
+            nb = sample_neighbourhood(idx, m=2, d=1, rng=rng)
             if nb.clusters[0] == target_row:
                 hits += 1
         freq = hits / draws
