@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -119,6 +120,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "bench":
+        if not math.isfinite(args.target):
+            raise ConfigurationError(f"--target must be finite, got {args.target}")
         configs = [parse_config(c) for c in args.configs]
         rows = bench(configs, args.target)
         table = []
@@ -140,6 +143,9 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "grad-check":
+        if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+            raise ConfigurationError(
+                f"--tolerance must be positive and finite, got {args.tolerance}")
         layer_dims = (10, 16, 8)
         seed = 0
         if args.config is not None:

@@ -232,7 +232,8 @@ def class_kmeans(points, labels, k: int, seed: int, small: str):
 
 def cluster_variance(points: np.ndarray, centers: np.ndarray, example_cluster) -> float:
     """Variance of points about their centers, (N-1) divisor, floored at ``VARIANCE_FLOOR``."""
-    residual = points - centers[example_cluster]
+    residual = centers[example_cluster]  # a fresh gather, overwritten in place
+    np.subtract(points, residual, out=residual)
     variance = float(np.einsum("ij,ij->i", residual, residual).sum() / max(len(points) - 1, 1))
     return max(variance, VARIANCE_FLOOR)
 

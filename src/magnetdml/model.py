@@ -59,12 +59,16 @@ class EmbeddingModel:
     def output_dim(self) -> int:
         return self.layer_dims[-1]
 
-    def forward(self, batch: np.ndarray) -> Tuple[np.ndarray, ActivationTrace]:
+    def _checked_input(self, batch) -> np.ndarray:
         x = np.atleast_2d(np.asarray(batch, dtype=np.float64))
         if x.shape[1] != self.input_dim:
             raise ConfigurationError(
                 f"input dimension {x.shape[1]} != model input {self.input_dim}"
             )
+        return x
+
+    def forward(self, batch: np.ndarray) -> Tuple[np.ndarray, ActivationTrace]:
+        x = self._checked_input(batch)
         layer_inputs, preacts = [], []
         h = x
         last = len(self.weights) - 1
@@ -76,7 +80,17 @@ class EmbeddingModel:
         return h, ActivationTrace(self._version, layer_inputs, preacts)
 
     def embed(self, batch: np.ndarray) -> np.ndarray:
-        return self.forward(batch)[0]
+        """``forward(batch)[0]`` byte for byte, without the trace: the bias add
+        and the rectifier write into each layer's fresh product, so only a
+        layer's input and its product are alive at a time."""
+        h = self._checked_input(batch)
+        last = len(self.weights) - 1
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            h = h @ w.T
+            h += b
+            if i != last:
+                np.maximum(h, 0.0, out=h)
+        return h
 
     def backward(self, trace: ActivationTrace, representation_grads: np.ndarray):
         """Gradients of sum_n <rep_n, rep_grad_n> w.r.t. every parameter.

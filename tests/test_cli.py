@@ -6,6 +6,10 @@ import numpy as np
 import pytest
 
 from magnetdml.cli import main
+from magnetdml.config import parse_config
+from magnetdml.evaluate import attribute_precision
+from magnetdml.model import EmbeddingModel
+from magnetdml.training import resolve_datasets
 
 
 SPEC = {
@@ -47,6 +51,7 @@ def write_spec(tmp_path):
 
 
 def write_config(tmp_path, name="run.cfg", **overrides):
+    """A magnet config over SPEC; an override of None drops that key."""
     values = {
         "objective": "magnet",
         "mixture_spec": str(write_spec(tmp_path)),
@@ -61,9 +66,9 @@ def write_config(tmp_path, name="run.cfg", **overrides):
         "d": "4",
         "seed": "3",
     }
-    values.update({k: str(v) for k, v in overrides.items()})
+    values.update(overrides)
     path = tmp_path / name
-    path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    path.write_text("".join(f"{k} = {v}\n" for k, v in values.items() if v is not None))
     return path
 
 
@@ -72,7 +77,8 @@ class TestGenData:
         spec = write_spec(tmp_path)
         out = tmp_path / "data.csv"
         assert main(["gen-data", str(spec), str(out), "--seed", "5"]) == 0
-        rows = list(csv.reader(out.open()))
+        with out.open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["label", "f0", "f1"]
         assert len(rows) == 161  # header plus one row per example
         assert all(len(r) == 3 for r in rows)
@@ -266,6 +272,24 @@ class TestTrain:
         report = json.loads((outdir / "report.json").read_text())
         assert report["metric"] == "soft_knn"
 
+    def test_csv_dataset_with_attributes_reports_attribute_precision(self, tmp_path):
+        spec = json.loads(json.dumps(SPEC))
+        for c, modes in enumerate(spec["classes"]):
+            for j, mode in enumerate(modes):
+                mode["attributes"] = [1 - c, c, 1 - j, j]
+        spec_path, data, attrs = tmp_path / "spec.json", tmp_path / "d.csv", tmp_path / "a.csv"
+        spec_path.write_text(json.dumps(spec))
+        assert main(["gen-data", str(spec_path), str(data), "--attributes-out", str(attrs)]) == 0
+        config = write_config(tmp_path, mixture_spec=None, dataset=data, dataset_attributes=attrs)
+        outdir = tmp_path / "out"
+        assert main(["train", str(config), str(outdir)]) == 0
+
+        report = json.loads((outdir / "report.json").read_text())
+        _, test = resolve_datasets(parse_config(config))
+        reps = EmbeddingModel.load(outdir / "checkpoint.bin").embed(test.inputs)
+        expected = attribute_precision(reps, test.attributes, [5, 10, 20])
+        assert report["attribute_precision"] == {str(k): v for k, v in expected.items()}
+
 
 class TestEval:
     def test_eval_checkpoint(self, tmp_path):
@@ -285,6 +309,20 @@ class TestEval:
         assert report["error_rate"] < 0.2
         assert report["sigma2"] > 0
 
+    def test_eval_checkpoint_soft_knn(self, tmp_path):
+        config = write_config(tmp_path)
+        outdir = tmp_path / "out"
+        main(["train", str(config), str(outdir)])
+        data = tmp_path / "data.csv"
+        main(["gen-data", str(write_spec(tmp_path)), str(data), "--seed", "4"])
+        evaldir = tmp_path / "eval"
+        rc = main(["eval", str(outdir / "checkpoint.bin"), str(data), str(evaldir),
+                   "--objective", "triplet"])
+        assert rc == 0
+        report = json.loads((evaldir / "report.json").read_text())
+        assert report["metric"] == "soft_knn"
+        assert report["error_rate"] < 0.2
+        assert report["sigma2"] > 0
 
     @pytest.mark.parametrize("objective", ["magent", "ncm", "ncmc", "softmax"])
     def test_unknown_objective_rejected(self, tmp_path, capsys, objective):
@@ -360,6 +398,15 @@ class TestBench:
         assert rc == 0
         assert "never" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("target", ["nan", "inf", "-inf"])
+    def test_non_finite_target_rejected(self, tmp_path, capsys, target):
+        # nan used to print "never" for every objective and exit 0
+        config = write_config(tmp_path, iterations=20)
+        assert main(["bench", str(config), f"--target={target}"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: --target must be finite")
+
 
 class TestGradCheck:
     def test_default_passes(self, capsys):
@@ -371,6 +418,20 @@ class TestGradCheck:
             "ncm      pass  max_rel_err=1.426e-08 checked=200 skipped=0\n"
             "softmax  pass  max_rel_err=8.789e-09 checked=200 skipped=0\n"
             "triplet  pass  max_rel_err=5.106e-09 checked=200 skipped=0\n")
+
+    def test_config_layer_dims_pass(self, tmp_path, capsys):
+        assert main(["grad-check", str(write_config(tmp_path, layer_dims="2,5,3"))]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] for line in lines] == [
+            [name, "pass"] for name in ("magnet", "nca", "ncm", "softmax", "triplet")]
+
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf"])
+    def test_tolerance_not_positive_and_finite_rejected(self, capsys, tolerance):
+        # nan and -1 used to print FAIL for five correct gradients; inf passed anything
+        assert main(["grad-check", "--tolerance", tolerance]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: --tolerance must be positive and finite")
 
     def test_bad_optimizer_config_errors(self, tmp_path, capsys):
         config = write_config(tmp_path, learning_rate=0)

@@ -1,11 +1,12 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from magnetdml import Dataset, EmbeddingModel, ExperimentConfig, build_index, class_kmeans, kmeans
 from magnetdml.errors import ConfigurationError
-from magnetdml.index import VARIANCE_FLOOR
+from magnetdml.index import VARIANCE_FLOOR, cluster_variance
 from magnetdml.training import _MagnetStep
 
 
@@ -120,6 +121,24 @@ class TestBuildIndex:
         step.refresh(1, step.model.snapshot(), 1)
         assert step.index.loss_cache is step.loss_cache
         np.testing.assert_array_equal(step.loss_cache, written)
+
+
+def test_cluster_variance_allocates_one_residual():
+    """The residual is computed into the gathered centers; subtracting into a
+    second (N, d) array used to double the peak."""
+    n, d = 3600, 32
+    rng = np.random.default_rng(0)
+    points, centers = rng.standard_normal((n, d)), rng.standard_normal((10, d))
+    example_cluster = rng.integers(0, 10, n)
+    expected = float(((points - centers[example_cluster]) ** 2).sum() / (n - 1))
+    tracemalloc.start()
+    try:
+        variance = cluster_variance(points, centers, example_cluster)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= n * d * 8 + n * 8 + 64 * 1024
+    assert np.isclose(variance, expected, rtol=1e-12)
 
 
 class TestClassKmeans:

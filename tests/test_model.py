@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +46,39 @@ class TestForward:
         m = EmbeddingModel([3, 2], seed=0)
         with pytest.raises(ConfigurationError):
             m.forward(np.zeros((2, 4)))
+
+
+class TestEmbed:
+    @pytest.mark.parametrize("dims", [[5, 3], [5, 7, 3], [5, 7, 6, 3]])
+    def test_equals_forward_byte_for_byte(self, dims):
+        m = EmbeddingModel(dims, seed=4)
+        for b in m.biases:  # nonzero biases and some rectified units
+            b[:] = np.random.default_rng(len(b)).standard_normal(len(b))
+        x = np.random.default_rng(2).standard_normal((40, 5))
+        before = x.copy()
+        out = m.embed(x)
+        assert out.tobytes() == m.forward(x)[0].tobytes()
+        assert x.tobytes() == before.tobytes()
+
+    def test_dimension_mismatch_as_forward(self):
+        m = EmbeddingModel([3, 2], seed=0)
+        with pytest.raises(ConfigurationError, match="input dimension 4 != model input 3"):
+            m.embed(np.zeros((2, 4)))
+
+    def test_peak_holds_one_hidden_layer_and_the_output(self):
+        """An N-row embed keeps no trace: at its peak it holds one hidden
+        layer's activations and the output. Through ``forward`` it held the
+        trace, a second copy of the hidden layer and a bias-add temporary."""
+        n, dims = 3600, [8, 64, 32]
+        m = EmbeddingModel(dims, seed=0)
+        x = np.random.default_rng(0).standard_normal((n, dims[0]))
+        tracemalloc.start()
+        try:
+            m.embed(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= n * (dims[1] + dims[2]) * 8 + 64 * 1024
 
 
 class TestBackward:
