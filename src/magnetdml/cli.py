@@ -88,8 +88,8 @@ def _dispatch(args) -> int:
         outdir = Path(args.outdir)
         outdir.mkdir(parents=True, exist_ok=True)
         result = train(config, resume_from=args.resume, checkpoint_dir=outdir)
-        # train() has saved training_state.json, the resume point, and its
-        # export checkpoint.bin to outdir
+        # train() has saved training_state.json, the resume point at the last
+        # refresh boundary, and checkpoint.bin, the final model, to outdir
         write_metrics_csv(result.metrics, outdir / "metrics.csv")
         report = build_report(config, result)
         (outdir / "report.json").write_text(json.dumps(report, indent=2) + "\n")

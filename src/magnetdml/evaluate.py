@@ -42,7 +42,7 @@ class EvalContext:
 
 def knc_context(reps, labels, k, seed, sigma2=None, l=128, small="raise") -> EvalContext:
     """kNC references: the centers of :func:`~magnetdml.index.class_kmeans`. ``sigma2``
-    defaults to the variance of ``reps`` about them, as the index computes it."""
+    defaults to the variance of ``reps`` about them (:func:`~magnetdml.index.cluster_variance`)."""
     centers, classes, example_cluster = class_kmeans(reps, labels, k, seed, small)
     if sigma2 is None:
         sigma2 = cluster_variance(reps, centers, example_cluster)

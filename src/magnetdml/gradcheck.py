@@ -42,8 +42,8 @@ def grad_check(
 
     ``objective(model)`` returns a step objective's ``(loss, (w_grads,
     b_grads), kinks, ...)``, where ``kinks`` is a list of arrays of hinge and
-    rectifier arguments; a coordinate is skipped when perturbing it crosses
-    (or lands within ``kink_margin`` of) a kink, since the loss is not
+    rectifier arguments; a coordinate is skipped when perturbing it moves one
+    of them across (or within ``kink_margin`` of) 0, since the loss is not
     differentiable there.
     """
     rng = np.random.default_rng(seed)
@@ -83,9 +83,11 @@ def grad_check(
 
 
 def _crosses_kink(kinks_p, kinks_m, margin) -> bool:
+    """Whether a kink argument that the perturbation moves changes sign or
+    lies within ``margin`` of 0; one that it leaves in place does not count."""
     for kp, km in zip(kinks_p, kinks_m):
         near = (np.abs(kp) < margin) | (np.abs(km) < margin)
-        if (near | (np.sign(kp) != np.sign(km))).any():
+        if ((kp != km) & (near | (np.sign(kp) != np.sign(km)))).any():
             return True
     return False
 

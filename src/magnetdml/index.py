@@ -1,9 +1,9 @@
 """Per-class K-means index over current representations.
 
-The index is rebuilt periodically from a frozen model snapshot: forward passes
-of every input, then K-means++ seeding and Lloyd refinement per class. It also
-keeps the per-example loss cache whose per-cluster means steer seed-cluster
-sampling, and the global variance of representations about their centers.
+The index is rebuilt periodically from the model as it stands at the refresh:
+forward passes of every input, then K-means++ seeding and Lloyd refinement
+per class. It also keeps the per-example loss cache whose per-cluster means
+steer seed-cluster sampling.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def sqdist_blocks(a: np.ndarray, b: np.ndarray, rows: int, a_sq: Optional[np.nda
 
 @dataclass
 class ClusterIndex:
-    """Cluster centers, assignments, loss cache and global variance.
+    """Cluster centers, assignments and loss cache.
 
     A cluster is addressed by its row in ``centers``: cluster j of class c is
     row ``c·k + j``, and ``cluster_classes[row]`` is its class.
@@ -128,7 +128,6 @@ class ClusterIndex:
     centers: np.ndarray
     cluster_classes: np.ndarray
     example_cluster: np.ndarray
-    variance: float
     loss_cache: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -240,18 +239,17 @@ def cluster_variance(points: np.ndarray, centers: np.ndarray, example_cluster) -
 
 def build_index(model, dataset: Dataset, k: int = 1, seed: int = 0,
                 loss_cache: Optional[np.ndarray] = None) -> ClusterIndex:
-    """Forward all inputs against a frozen snapshot, then K-means per class.
+    """Embed all inputs with ``model`` as it stands, then K-means per class.
+    The index keeps no reference to the model.
 
     The index shares ``loss_cache`` when one is given, else starts an empty
     (all NaN) one.
     """
-    reps = model.embed(dataset.inputs)
     centers, cluster_classes, example_cluster = class_kmeans(
-        reps, dataset.labels, k, seed, small="raise")
+        model.embed(dataset.inputs), dataset.labels, k, seed, small="raise")
     return ClusterIndex(
         centers=centers,
         cluster_classes=cluster_classes,
         example_cluster=example_cluster,
-        variance=cluster_variance(reps, centers, example_cluster),
         loss_cache=loss_cache,
     )

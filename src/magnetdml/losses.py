@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ContractError
-from .index import VARIANCE_FLOOR, class_kmeans, sqdist
+from .index import VARIANCE_FLOOR, class_kmeans, cluster_variance, sqdist
 from .model import EmbeddingModel, momentum_sgd
 
 
@@ -116,14 +116,14 @@ def magnet_minibatch_loss(
 def magnet_full_objective(index, representations, labels, alpha: float = 1.0) -> float:
     """Full-dataset cluster-overlap objective (evaluation only, no gradients).
 
-    Uses the index's assigned centers and global variance; the denominator
-    sums over all clusters of all other classes.
+    Uses the index's assigned centers and the variance of ``representations``
+    about them; the denominator sums over all clusters of all other classes.
     """
     if not math.isfinite(alpha):
         raise ConfigurationError("alpha must be finite")
     reps = np.atleast_2d(np.asarray(representations, dtype=np.float64))
     labels = np.asarray(labels)
-    v = max(index.variance, VARIANCE_FLOOR)
+    v = cluster_variance(reps, index.centers, index.example_cluster)
     inv2v = 1.0 / (2.0 * v)
     d2 = sqdist(reps, index.centers)
     own = d2[np.arange(len(reps)), index.example_cluster]

@@ -122,16 +122,7 @@ class EmbeddingModel:
         )
         self._version += 1
 
-    def snapshot(self) -> "EmbeddingModel":
-        """Frozen copy of the parameters (no velocities) for index building and evaluation."""
-        clone = EmbeddingModel.__new__(EmbeddingModel)
-        clone.layer_dims = list(self.layer_dims)
-        clone.weights = [w.copy() for w in self.weights]
-        clone.biases = [b.copy() for b in self.biases]
-        clone._version = self._version
-        return clone
-
-    # -- flat parameter view used by grad_check and checkpointing ------------
+    # -- flat parameter view used by grad_check ----------------------------------
 
     def get_flat_params(self) -> np.ndarray:
         return np.concatenate(

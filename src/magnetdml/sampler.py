@@ -71,8 +71,8 @@ def sample_neighbourhood(index: ClusterIndex, m: int, d: int, rng) -> Neighbourh
 
 class TripletMiner:
     """What :func:`sample_triplets` draws from that changes only when the
-    mining representations do: built once per refresh from the snapshot's
-    embedding of the training set.
+    mining representations do: built once per refresh from the model's
+    embedding of the training set at that refresh.
 
     ``classes`` maps each example to its class position, ``members[c]``
     lists class c's examples in ascending index order (``rng.choice`` draws

@@ -2,29 +2,30 @@
 
 :func:`train` owns what the objectives share: the rng, the metrics rows, the
 refresh and checkpoint schedule and the final save. Every ``refresh_interval``
-iterations it saves the state (given a ``checkpoint_dir``), then refreshes
-from a frozen model snapshot and, for ``seeded`` objectives, an index seed
-drawn from the rng. An objective is a step object: its constructor builds the
-fresh model and its own state; ``refresh(iteration, snapshot, seed)`` rebuilds
-what derives from the snapshot (magnet index, triplet miner); an iteration
-is ``sample(rng)``, every rng draw, then ``objective(model, batch) -> (loss,
-grads, kinks, out)``, pure given the model and the batch and the one that
-``grad-check`` checks, then the SGD step and ``after(batch, out, iteration)``;
-``predict(sigma2, iteration)`` classifies the test split for the eval rows and
-the report; ``sigma2()`` is the report variance; ``state()`` adds its own keys
-to ``training_state.json`` and ``resume(raw)`` copies them into its own arrays.
-The report classifies as an eval at the last iteration does, so such an eval
-serves it.
+iterations it takes the state (given a ``checkpoint_dir``) and saves it, then
+refreshes from the current model and, for ``seeded`` objectives, an index
+seed drawn from the rng. An objective is a step object: its constructor
+builds the fresh model and its own state; ``refresh(seed)`` rebuilds what
+derives from the model's embedding of the training set (magnet index,
+triplet miner); an iteration is ``sample(rng)``, every rng draw, then
+``objective(model, batch) -> (loss, grads, kinks, out)``, pure given the
+model and the batch and the one that ``grad-check`` checks, then the SGD step
+and ``after(batch, out, iteration)``; ``predict(sigma2, iteration)``
+classifies the test split for the eval rows and the report; ``sigma2()`` is
+the report variance; ``state()`` adds its own keys to ``training_state.json``
+and ``resume(raw)`` copies them into its own arrays. The report classifies
+as an eval at the last iteration does, so such an eval serves it.
 
 Resume contract: any state the loop writes resumes byte for byte, under the
 config it was saved with; only ``iterations`` may differ, and not fall below
-the saved iteration. A state is the one file ``training_state.json``; the
-``checkpoint.bin`` written after it is an export for ``eval`` that resume
-never reads. A state saved at iteration t holds the config, the model and
-velocities, the rng before any draw of iteration t and the t metrics rows;
-off a refresh boundary it also holds the snapshot parameters and seed of the
-refresh in force, which resume rebuilds. ``train(resume_from=dir)`` restores
-it in place.
+the saved iteration. A state is the one file ``training_state.json``, and it
+is always at a refresh boundary; the ``checkpoint.bin`` written after it is
+an export of the current model for ``eval`` that resume never reads. A state
+saved at iteration t holds the config, the model and velocities, the rng
+before any draw of iteration t and the t metrics rows. The final save of a
+run that ends off a boundary writes the state of the last boundary, so its
+resume re-runs at most ``refresh_interval - 1`` iterations.
+``train(resume_from=dir)`` restores it in place.
 """
 
 from __future__ import annotations
@@ -92,27 +93,27 @@ def train(
 ) -> TrainResult:
     """Run the configured objective; deterministic given config and seed.
 
-    ``checkpoint_dir`` enables resumable state dumps at refresh boundaries
-    and at the end; ``resume_from`` (a directory holding such a dump)
+    ``checkpoint_dir`` enables resumable state dumps: the state is taken at
+    every refresh boundary and written at each but the run's first, and the
+    final save writes the newest boundary's state again and exports the
+    model beside it. ``resume_from`` (a directory holding such a dump)
     continues an interrupted run with an identical seed stream.
     """
     if train_data is None or test_data is None:
         train_data, test_data = resolve_datasets(config)
     step = _STEPS[config.objective](config, train_data, test_data)
     rng = np.random.default_rng(config.seed)
-    start, metrics, refreshed, final_preds = 0, [], None, None
+    start, metrics, boundary, final_preds = 0, [], None, None
     if resume_from is not None:
-        start, metrics, refreshed = _load_training_state(resume_from, step, rng)
-        if refreshed is not None:
-            step.refresh(*refreshed)
+        start, metrics = _load_training_state(resume_from, step, rng)
 
     for it in range(start, config.iterations):
-        if it % config.refresh_interval == 0 or refreshed is None:
-            if it > start and checkpoint_dir is not None:
-                _save_training_state(checkpoint_dir, step, rng, it, metrics, refreshed)
-            seed = int(rng.integers(2**31)) if step.seeded else None
-            refreshed = (it, step.model.snapshot(), seed)
-            step.refresh(*refreshed)
+        if it % config.refresh_interval == 0:
+            if checkpoint_dir is not None:
+                boundary = _dump_state(step, rng, it, metrics)
+                if it > start:
+                    _save_training_state(checkpoint_dir, step, rng, it, boundary)
+            step.refresh(int(rng.integers(2**31)) if step.seeded else None)
         loss, batch = step.step(it, rng)
         if not np.isfinite(loss):
             raise ContractError("non-finite loss at iteration %d; offending batch: %s" % (
@@ -126,7 +127,9 @@ def train(
         metrics.append(row)
 
     if checkpoint_dir is not None:
-        _save_training_state(checkpoint_dir, step, rng, config.iterations, metrics, refreshed)
+        if config.iterations % config.refresh_interval == 0:
+            boundary = _dump_state(step, rng, config.iterations, metrics)
+        _save_training_state(checkpoint_dir, step, rng, config.iterations, boundary)
     sigma2 = step.sigma2()
     final_eval = None if final_preds is None else (step.model.version, sigma2, final_preds)
     return TrainResult(step.model, metrics, sigma2, train_data, test_data, step, final_eval)
@@ -147,7 +150,7 @@ class _Step:
         self.config, self.train_data, self.test_data = config, train_data, test_data
         self.model = model or EmbeddingModel(config.layer_dims, seed=config.seed)
 
-    def refresh(self, iteration, snapshot, seed):
+    def refresh(self, seed):
         pass
 
     def step(self, iteration, rng):
@@ -190,9 +193,9 @@ class _MagnetStep(_Step):
         self.sigma = SigmaTracker(decay=config.sigma_decay)
         self.loss_cache = np.full(train_data.size, np.nan)
 
-    def refresh(self, iteration, snapshot, seed):
+    def refresh(self, seed):
         # shared, not copied: the cache carries over from index to index
-        self.index = build_index(snapshot, self.train_data, k=self.config.k, seed=seed,
+        self.index = build_index(self.model, self.train_data, k=self.config.k, seed=seed,
                                  loss_cache=self.loss_cache)
 
     def sample(self, rng):
@@ -243,8 +246,8 @@ class _MagnetStep(_Step):
 
 
 class _TripletStep(_Step):
-    def refresh(self, iteration, snapshot, seed):
-        self.miner = TripletMiner(snapshot.embed(self.train_data.inputs), self.train_data.labels)
+    def refresh(self, seed):
+        self.miner = TripletMiner(self.model.embed(self.train_data.inputs), self.train_data.labels)
 
     def sample(self, rng):
         triplets = sample_triplets(
@@ -438,45 +441,46 @@ def bench(
 _MODEL_ARRAYS = ("weights", "biases", "w_velocity", "b_velocity")
 
 
-def _save_training_state(outdir, step, rng, iteration, metrics, refreshed):
-    """Write ``training_state.json``, the resume point, then ``checkpoint.bin``,
-    an export for ``eval``, each through a temporary file and ``os.replace``. A
-    kill between the writes leaves a whole state beside an older export."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    model = step.model
-    state = {
+def _dump_state(step, rng, iteration, metrics) -> bytes:
+    """The state at ``iteration``, a refresh boundary, as the bytes of
+    ``training_state.json``."""
+    return json.dumps({
         "config": dataclasses.asdict(step.config),
         "iteration": iteration,
         "rng_state": rng.bit_generator.state,
         "metrics": _pack(np.array(
             [(r.iteration, r.train_loss, np.nan if r.val_error is None else r.val_error)
              for r in metrics], dtype=np.float64).reshape(-1, 3)),
-        **{key: [_pack(a) for a in getattr(model, key)] for key in _MODEL_ARRAYS},
-        # on a refresh boundary, resume refreshes afresh
-        "refresh": None if refreshed is None or iteration % step.config.refresh_interval == 0
-        else {"iteration": refreshed[0], "params": _pack(refreshed[1].get_flat_params()),
-              "seed": refreshed[2]},
+        **{key: [_pack(a) for a in getattr(step.model, key)] for key in _MODEL_ARRAYS},
         **step.state(),
-    }
-    for name, data in (("training_state.json", json.dumps(state).encode()),
-                       ("checkpoint.bin", model.to_bytes())):
+    }).encode()
+
+
+def _save_training_state(outdir, step, rng, iteration, state):
+    """Write ``state``, the :func:`_dump_state` of the newest refresh boundary
+    at or below ``iteration``, to ``training_state.json``, the resume point,
+    then the model at ``iteration`` to ``checkpoint.bin``, an export for
+    ``eval``, each through a temporary file and ``os.replace``. A kill between
+    the writes leaves a whole state beside an older export."""
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, data in (("training_state.json", state), ("checkpoint.bin", step.model.to_bytes())):
         tmp = outdir / (name + ".tmp")
         tmp.write_bytes(data)
         os.replace(tmp, outdir / name)
 
 
-def _load_training_state(outdir, step, rng) -> Tuple[int, List[MetricsRow], Optional[tuple]]:
+def _load_training_state(outdir, step, rng) -> Tuple[int, List[MetricsRow]]:
     """Restore a state written by :func:`_save_training_state` into ``step``
-    and ``rng`` in place; return ``(iteration, metrics, refresh)``. Only
+    and ``rng`` in place; return ``(iteration, metrics)``. Only
     ``training_state.json`` is read. A malformed file, a missing key, an
     array that is not a whole blob of the expected shape (a state in the old
     list format included), a non-finite model array, an iteration that is not
-    an int at or above 0, metrics other than one row per iteration before it,
-    a non-finite ``train_loss``, a ``val_error`` that is neither NaN nor in
-    [0, 1], an rng state that is not a whole state of the run's generator or
-    a refresh record that no run writes is a ``ParseError``; a state the
-    config cannot continue, a ``ConfigurationError`` naming both values."""
+    an int at or above 0 or is off a refresh boundary, metrics other than one
+    row per iteration before it, a non-finite ``train_loss``, a ``val_error``
+    that is neither NaN nor in [0, 1] or an rng state that is not a whole
+    state of the run's generator is a ``ParseError``; a state the config
+    cannot continue, a ``ConfigurationError`` naming both values."""
     outdir, config, model = Path(outdir), step.config, step.model
     try:
         raw = json.loads((outdir / "training_state.json").read_text())
@@ -498,19 +502,14 @@ def _load_training_state(outdir, step, rng) -> Tuple[int, List[MetricsRow], Opti
                 raise ConfigurationError(
                     f"the saved state has {name} = {raw['config'][name]!r}, "
                     f"the config has {name} = {value!r}")
+        if iteration % config.refresh_interval:
+            raise ValueError(f"'iteration' = {iteration} is not a multiple of "
+                             f"refresh_interval = {config.refresh_interval}")
         for key in _MODEL_ARRAYS:
             _restore(getattr(model, key), raw[key], key)
         _check_rng_state(raw["rng_state"], rng.bit_generator.state["bit_generator"])
         rng.bit_generator.state = raw["rng_state"]
         step.resume(raw)
-        refresh = raw["refresh"]
-        _check_refresh(refresh, iteration, config.refresh_interval, step.seeded)
-        if refresh is not None:
-            snapshot = model.snapshot()
-            flat = snapshot.get_flat_params()
-            _restore([flat], [refresh["params"]], "refresh.params")
-            snapshot.set_flat_params(flat)
-            refresh = (refresh["iteration"], snapshot, refresh["seed"])
         rows = _unpack(raw["metrics"], "metrics", (iteration, 3))
         if not np.array_equal(rows[:, 0], np.arange(iteration)):
             raise ValueError(f"'metrics' rows are not iterations 0 to {iteration - 1}")
@@ -520,7 +519,7 @@ def _load_training_state(outdir, step, rng) -> Tuple[int, List[MetricsRow], Opti
             raise ValueError("'metrics' holds a val_error that is not NaN or in [0, 1]")
         metrics = [MetricsRow(int(it), float(loss), None if np.isnan(err) else float(err))
                    for it, loss, err in rows]
-        return iteration, metrics, refresh
+        return iteration, metrics
     except ConfigurationError:
         raise
     except (LookupError, TypeError, ValueError, OverflowError, ContractError) as exc:
@@ -538,27 +537,6 @@ def _check_rng_state(saved, name):
                              ("uinteger", saved["uinteger"], 32)):
         if not (type(value) is int and 0 <= value < 2**bits):
             raise ValueError(f"'rng_state.{key}' = {value!r} is not an int in [0, 2**{bits})")
-
-
-def _check_refresh(refresh, iteration, interval, seeded):
-    """A state off a refresh boundary records the refresh in force: the last
-    boundary below ``iteration``, with an index seed drawn as
-    ``rng.integers(2**31)`` for seeded objectives and none otherwise. Any
-    other record is a ValueError."""
-    if refresh is None:
-        if iteration % interval:
-            raise ValueError(f"'refresh' is null at iteration {iteration}, "
-                             f"off a multiple of refresh_interval = {interval}")
-        return
-    at = refresh["iteration"]
-    if type(at) is not int or at != iteration - iteration % interval:
-        raise ValueError(f"'refresh.iteration' = {at!r} is not the last multiple of "
-                         f"refresh_interval = {interval} at or below iteration {iteration}")
-    seed = refresh["seed"]
-    if seeded and not (type(seed) is int and 0 <= seed < 2**31):
-        raise ValueError(f"'refresh.seed' = {seed!r} is not an int in [0, 2**31)")
-    if not seeded and seed is not None:
-        raise ValueError(f"'refresh.seed' = {seed!r} is not null")
 
 
 def _pack(array) -> dict:

@@ -43,3 +43,24 @@ def test_coordinates_near_a_kink_are_skipped():
     assert report.skipped == 2
     assert report.checked + report.skipped == 6
     assert report.passed
+
+
+def test_a_kink_the_perturbation_leaves_in_place_skips_nothing():
+    """A 4 -> 6 -> 3 MLP whose smallest hidden pre-activation lies just inside
+    ``kink_margin``: only the five parameters of its unit (four weights and a
+    bias) move it and are skipped; the other 46 are checked."""
+    model = EmbeddingModel([4, 6, 3], seed=0)
+    x = np.random.default_rng(0).standard_normal((5, 4))
+
+    def objective(m):
+        reps, trace = m.forward(x)
+        return float((reps * reps).sum()), m.backward(trace, 2.0 * reps), trace.preacts[:-1]
+
+    smallest = np.abs(model.forward(x)[1].preacts[0]).min()
+    report = grad_check(model, objective, kink_margin=1.001 * smallest)
+    assert (report.checked, report.skipped) == (46, 5)
+    assert report.passed
+
+
+def test_no_objective_skips_a_coordinate_at_the_default_margin():
+    assert all(r.skipped == 0 and r.passed for r in check_all_objectives().values())

@@ -72,12 +72,13 @@ class TestBuildIndex:
         ds = Dataset(np.array([[0.0], [2.0], [5.0], [5.0]]), np.array([0, 0, 1, 1]))
         idx = build_index(identity_model(1), ds, k=1, seed=0)
         assert np.isclose(idx.centers[0, 0], 1.0)  # class 0, cluster 0: row 0·k + 0
-        assert np.isclose(idx.variance, 2.0 / 3.0)
+        variance = cluster_variance(ds.inputs, idx.centers, idx.example_cluster)
+        assert np.isclose(variance, 2.0 / 3.0)
 
     def test_zero_variance_floored(self):
         ds = Dataset(np.array([[1.0], [1.0], [3.0], [3.0]]), np.array([0, 0, 1, 1]))
         idx = build_index(identity_model(1), ds, k=1, seed=0)
-        assert idx.variance == VARIANCE_FLOOR
+        assert cluster_variance(ds.inputs, idx.centers, idx.example_cluster) == VARIANCE_FLOOR
 
     def test_k1_centers_are_class_means(self, small_dataset):
         model = identity_model(small_dataset.dim)
@@ -114,11 +115,11 @@ class TestBuildIndex:
         # losses written before a refresh steer seeding after it
         config = ExperimentConfig(layer_dims=[3, 4], k=2, m=2, d=2)
         step = _MagnetStep(config, small_dataset, small_dataset)
-        step.refresh(0, step.model.snapshot(), 0)
+        step.refresh(0)
         step.step(0, np.random.default_rng(0))
         written = step.loss_cache.copy()
         assert np.isfinite(written).any()
-        step.refresh(1, step.model.snapshot(), 1)
+        step.refresh(1)
         assert step.index.loss_cache is step.loss_cache
         np.testing.assert_array_equal(step.loss_cache, written)
 

@@ -36,7 +36,6 @@ def make_index(example_cluster, rows, loss_cache):
         centers=np.zeros((rows, 1)),
         cluster_classes=np.arange(rows) % 2,
         example_cluster=np.asarray(example_cluster, dtype=np.int64),
-        variance=1.0,
         loss_cache=loss_cache,
     )
 

@@ -1,13 +1,14 @@
 """Resume from any state the training loop writes, for every objective.
 
 Each case trains 60 iterations with a refresh every 20, once without a stop
-and once halted at 40 (a refresh boundary) or 50 (inside a refresh window)
-and resumed to 60. The resumed metrics.csv and weights must equal those of
-the uninterrupted run byte for byte, whatever became of the exported
-checkpoint.bin, which resume never reads. A state the config cannot continue
-(past its iterations, a model of other layer sizes, any other config field
-but ``iterations``, or a training set other than the saved loss cache's) is
-rejected.
+and once halted at 40 (a refresh boundary) or 50 (inside a refresh window,
+which leaves the state of the boundary at 40) and resumed to 60. The resumed
+metrics.csv and weights must equal those of the uninterrupted run byte for
+byte, whatever became of the exported checkpoint.bin, which resume never
+reads. Every state on disk is at a refresh boundary. A state the config
+cannot continue (past its iterations, a model of other layer sizes, any
+other config field but ``iterations``, or a training set other than the
+saved loss cache's) is rejected.
 """
 
 import dataclasses
@@ -16,7 +17,7 @@ import re
 
 import pytest
 
-from magnetdml import ExperimentConfig
+from magnetdml import ExperimentConfig, training
 from magnetdml.cli import main
 from magnetdml.errors import ConfigurationError, ParseError
 from magnetdml.data import Dataset
@@ -64,10 +65,36 @@ def test_missing_key_rejected(tmp_path):
     run(config, tmp_path)
     path = tmp_path / "training_state.json"
     state = json.loads(path.read_text())
-    del state["refresh"]  # as in a state written before the refresh record
+    del state["rng_state"]
     path.write_text(json.dumps(state))
-    with pytest.raises(ParseError, match="refresh"):
+    with pytest.raises(ParseError, match="rng_state"):
         train(config, *pin_data(), resume_from=tmp_path)
+
+
+@pytest.mark.parametrize("objective", sorted(CONFIGS))
+def test_every_saved_state_is_at_a_refresh_boundary(objective, tmp_path, monkeypatch):
+    save, saved = training._save_training_state, []
+
+    def save_and_read(outdir, step, rng, iteration, *rest):
+        save(outdir, step, rng, iteration, *rest)
+        state = json.loads((outdir / "training_state.json").read_text())
+        saved.append((iteration, state["iteration"]))
+
+    monkeypatch.setattr(training, "_save_training_state", save_and_read)
+    config = ExperimentConfig(**{**COMMON, **CONFIGS[objective],
+                                 "iterations": 50, "refresh_interval": 20})
+    run(config, tmp_path)
+    assert saved == [(20, 20), (40, 40), (50, 40)]
+
+
+def test_run_shorter_than_one_refresh_interval_resumes(tmp_path):
+    # its only boundary is iteration 0: the resume re-runs all 25 iterations
+    config = ExperimentConfig(**{**COMMON, **CONFIGS["ncmc"], "iterations": 60})
+    assert config.refresh_interval == 30
+    full = run(config, tmp_path / "full")
+    run(dataclasses.replace(config, iterations=25), tmp_path / "half")
+    assert json.loads((tmp_path / "half" / "training_state.json").read_text())["iteration"] == 0
+    assert run(config, tmp_path / "resumed", resume_from=tmp_path / "half") == full
 
 
 def test_state_past_the_configured_iterations_rejected(tmp_path):

@@ -1,15 +1,14 @@
 """The binary arrays of ``training_state.json`` and the checks on resume.
 
 Every array of the state (the model's weights and biases, the velocities,
-the magnet loss cache, the softmax head, the metrics rows and the refresh
-record's parameters) is stored as base64 of little-endian float64 with its
-shape; the rest stays JSON. A state in the old list format, a state without
-the model, a truncated, non-base64 or misshapen blob, an iteration or
-metrics that disagree, a bad magnet ``sigma2`` or loss-cache entry, a
-``train_loss`` or ``val_error`` no run writes, an rng state that is not a
-whole state of the run's generator and a refresh record that no run writes
-all fail to load with a ``ParseError``, which the command line reports as an
-``error:`` line with exit status 1.
+the magnet loss cache, the softmax head and the metrics rows) is stored as
+base64 of little-endian float64 with its shape; the rest stays JSON. A state
+in the old list format, a state without the model, a truncated, non-base64 or
+misshapen blob, an iteration off a refresh boundary, an iteration and metrics
+that disagree, a bad magnet ``sigma2`` or loss-cache entry, a ``train_loss``
+or ``val_error`` no run writes and an rng state that is not a whole state of
+the run's generator all fail to load with a ``ParseError``, which the command
+line reports as an ``error:`` line with exit status 1.
 """
 
 import base64
@@ -30,7 +29,7 @@ from test_metrics_pin import COMMON, CONFIGS, pin_data
 
 def saved_state(tmp_path, objective="magnet", iterations=50):
     """Train to ``iterations`` with a refresh every 20 and return the config
-    and the state's path; at 50 the state records the refresh at 40."""
+    and the state's path; a run to 50 leaves the state of the boundary at 40."""
     config = ExperimentConfig(**{**COMMON, **CONFIGS[objective],
                                  "iterations": iterations, "refresh_interval": 20})
     train(config, *pin_data(), checkpoint_dir=tmp_path)
@@ -74,18 +73,15 @@ def test_arrays_round_trip(tmp_path):
     cache = decode(state["loss_cache"])
     assert cache.shape == (pin_data()[0].size,)
     assert np.isnan(cache).any() and np.isfinite(cache).any()
+    assert state["iteration"] == 40 and "refresh" not in state
     metrics = decode(state["metrics"])
-    assert metrics.shape == (50, 3)
-    assert metrics[:, 0].tolist() == list(range(50))
-    assert np.isnan(metrics[:, 2]).sum() == 50 - 50 // config.eval_interval
+    assert metrics.shape == (40, 3)
+    assert metrics[:, 0].tolist() == list(range(40))
+    assert np.isnan(metrics[:, 2]).sum() == 40 - 40 // config.eval_interval
     for key in ("weights", "w_velocity"):
         assert [v["shape"] for v in state[key]] == [[16, 4], [8, 16]]
     for key in ("biases", "b_velocity"):
         assert [v["shape"] for v in state[key]] == [[16], [8]]
-    weights = [decode(w) for w in state["weights"]] + [decode(b) for b in state["biases"]]
-    params = decode(state["refresh"]["params"])
-    assert params.shape == (sum(a.size for a in weights),)
-    assert not np.array_equal(params, np.concatenate([a.ravel() for a in weights]))
 
 
 def test_softmax_head_round_trip(tmp_path):
@@ -141,7 +137,6 @@ BLOBS = {
     "b_velocity": lambda state: state["b_velocity"][-1],
     "head": lambda state: state["head"]["w"],
     "metrics": lambda state: state["metrics"],
-    "refresh.params": lambda state: state["refresh"]["params"],
 }
 
 
@@ -183,42 +178,6 @@ def test_cli_resume_from_old_list_format_errors(tmp_path, capsys):
     assert err.startswith("error:") and "old list format" in err
 
 
-def set_refresh(key, value):
-    def edit(state):
-        state["refresh"][key] = value
-    return edit
-
-
-# each was a raw TypeError or ValueError from the refresh that train() runs
-# after loading, or resumed a run that matches no uninterrupted one
-BAD_REFRESH = {
-    "seed-text": ("magnet", set_refresh("seed", "abc")),
-    "seed-negative": ("magnet", set_refresh("seed", -7)),
-    "seed-fraction": ("magnet", set_refresh("seed", 1.5)),
-    "seed-too-large": ("magnet", set_refresh("seed", 2**31)),
-    "seed-null": ("magnet", set_refresh("seed", None)),
-    "seed-bool": ("magnet", set_refresh("seed", True)),
-    "seed-unseeded": ("nca", set_refresh("seed", 5)),
-    "iteration-off-boundary": ("magnet", set_refresh("iteration", 30)),
-    "iteration-past-saved": ("magnet", set_refresh("iteration", 60)),
-    "iteration-earlier-boundary": ("magnet", set_refresh("iteration", 20)),
-    "iteration-text": ("magnet", set_refresh("iteration", "40")),
-    "params-short": ("magnet", lambda state: state["refresh"].update(
-        params=encode(decode(state["refresh"]["params"])[:-1]))),
-    "params-null": ("magnet", set_refresh("params", None)),
-    "null-off-boundary": ("magnet", lambda state: state.update(refresh=None)),
-}
-
-
-@pytest.mark.parametrize("case", sorted(BAD_REFRESH))
-def test_cli_resume_from_bad_refresh_record_errors(case, tmp_path, capsys):
-    objective, edit = BAD_REFRESH[case]
-    status, err = resume_cli(tmp_path, capsys, edit, objective=objective)
-    assert status == 1
-    assert err.startswith("error:") and "refresh" in err
-    assert not (tmp_path / "res" / "metrics.csv").exists()
-
-
 def poison(key):
     """An edit that makes the first value of the ``key`` blob NaN."""
     def edit(state):
@@ -229,17 +188,31 @@ def poison(key):
     return edit
 
 
-def test_non_finite_refresh_params_rejected(tmp_path):
-    config, path = saved_state(tmp_path)
-    rewrite(path, poison("refresh.params"))
-    with pytest.raises(ParseError, match="refresh.params"):
-        train(config, *pin_data(), resume_from=tmp_path)
-
-
 def renumber_metrics(state):
     rows = decode(state["metrics"]).copy()
     rows[:, 0] += 1
     state["metrics"] = encode(rows)
+
+
+def off_boundary(state):
+    """The state as if saved at 50, between the refresh boundaries at 40 and
+    60: one metrics row for each iteration before it."""
+    rows = np.column_stack([np.arange(50), np.ones(50), np.full(50, np.nan)])
+    state.update(iteration=50, metrics=encode(rows))
+
+
+def test_state_off_a_refresh_boundary_rejected(tmp_path):
+    config, path = saved_state(tmp_path)
+    rewrite(path, off_boundary)
+    with pytest.raises(ParseError, match="'iteration' = 50 is not a multiple of refresh_interval"):
+        train(config, *pin_data(), resume_from=tmp_path)
+
+
+def test_cli_resume_from_state_off_a_refresh_boundary_errors(tmp_path, capsys):
+    status, err = resume_cli(tmp_path, capsys, off_boundary)
+    assert status == 1
+    assert err.startswith("error:") and "'iteration'" in err
+    assert not (tmp_path / "res" / "metrics.csv").exists()
 
 
 # each used to resume, into metrics.csv rows that skip or repeat iterations:

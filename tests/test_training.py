@@ -31,7 +31,7 @@ def test_non_finite_loss_aborts_naming_the_batch(objective, iteration, key, size
 def test_magnet_batch_names_cluster_rows():
     config = ExperimentConfig(**{**COMMON, **CONFIGS["magnet"]})
     step = _MagnetStep(config, *pin_data())
-    step.refresh(0, step.model.snapshot(), 0)
+    step.refresh(0)
     _, batch = step.step(0, np.random.default_rng(0))
     rows = batch["clusters"]
     assert len(rows) == config.m
