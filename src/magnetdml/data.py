@@ -10,6 +10,7 @@ import csv
 import json
 import math
 import operator
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -100,6 +101,8 @@ class MixtureSpec:
                     raise ConfigurationError(f"class {c} has a mode with count < 1")
                 if mode.deviation < 0:
                     raise ConfigurationError(f"class {c} has a negative deviation")
+                if mode.attributes is not None and any(a not in (0, 1) for a in mode.attributes):
+                    raise ConfigurationError(f"class {c} has an attribute value other than 0 or 1")
                 dims.add(len(mode.center))
                 attr_dims.add(None if mode.attributes is None else len(mode.attributes))
         if len(dims) != 1:
@@ -163,7 +166,9 @@ def load_dataset(path, attributes_path=None) -> Dataset:
 
     Class indices are remapped to [0, C) in order of first appearance. An
     optional companion CSV with header ``a0..a{A-1}`` supplies row-aligned
-    binary attributes.
+    binary attributes. Each row is checked as it is read (column count, int
+    label, float features, finite values), so the first bad line is named,
+    and its features go straight into one float64 buffer.
     """
     rows_in = _csv_rows(path)
     _, header = next(rows_in, (1, None))
@@ -172,7 +177,8 @@ def load_dataset(path, attributes_path=None) -> Dataset:
     if not header or header[0] != "label":
         raise ParseError(f"{path}: line 1: first column must be 'label'")
     dim = len(header) - 1
-    raw_labels, rows = [], []
+    remap = {}  # raw label (any Python int) -> dense class index
+    labels, values = [], array("d")
     for lineno, row in rows_in:
         if not row:
             continue
@@ -180,27 +186,23 @@ def load_dataset(path, attributes_path=None) -> Dataset:
             raise ParseError(
                 f"{path}: line {lineno}: expected {dim + 1} columns, got {len(row)}"
             )
+        start = len(values)
         try:
-            raw_labels.append(int(row[0]))
-            rows.append([float(v) for v in row[1:]])
+            raw = int(row[0])
+            values.extend(map(float, row[1:]))
         except ValueError as exc:
             raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-        if not all(map(math.isfinite, rows[-1])):
+        if not all(map(math.isfinite, values[start:])):
             raise ParseError(f"{path}: line {lineno}: non-finite feature value")
-    if not rows:
+        labels.append(remap.setdefault(raw, len(remap)))
+    if not labels:
         raise ParseError(f"{path}: no data rows")
-
-    remap = {}
-    labels = []
-    for raw in raw_labels:
-        if raw not in remap:
-            remap[raw] = len(remap)
-        labels.append(remap[raw])
 
     attributes = None
     if attributes_path is not None:
-        attributes = _load_attributes(attributes_path, expected_rows=len(rows))
-    return Dataset(inputs=np.asarray(rows), labels=np.asarray(labels), attributes=attributes)
+        attributes = _load_attributes(attributes_path, expected_rows=len(labels))
+    inputs = np.array(values, dtype=np.float64).reshape(len(labels), dim)
+    return Dataset(inputs=inputs, labels=np.asarray(labels), attributes=attributes)
 
 
 def _load_attributes(path, expected_rows: int) -> np.ndarray:
@@ -209,19 +211,24 @@ def _load_attributes(path, expected_rows: int) -> np.ndarray:
     if header is None:
         raise ParseError(f"{path}: empty file")
     width = len(header)
-    rows = []
+    rows, values = 0, array("b")
     for lineno, row in rows_in:
         if not row:
             continue
         if len(row) != width:
             raise ParseError(f"{path}: line {lineno}: expected {width} columns")
-        try:
-            rows.append([int(v) for v in row])
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-    if len(rows) != expected_rows:
-        raise ParseError(f"{path}: {len(rows)} attribute rows for {expected_rows} examples")
-    return np.asarray(rows, dtype=np.int8)
+        for v in row:
+            try:
+                value = int(v)
+            except ValueError as exc:
+                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+            if value not in (0, 1):
+                raise ParseError(f"{path}: line {lineno}: attribute value {value} is not 0 or 1")
+            values.append(value)
+        rows += 1
+    if rows != expected_rows:
+        raise ParseError(f"{path}: {rows} attribute rows for {expected_rows} examples")
+    return np.array(values, dtype=np.int8).reshape(rows, width)
 
 
 def _csv_rows(path):

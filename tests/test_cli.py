@@ -124,6 +124,20 @@ class TestGenData:
         assert capsys.readouterr().err == "error: Unable to allocate 1.46 TiB for an array\n"
         assert not out.exists()
 
+    def test_non_binary_spec_attribute_errors(self, tmp_path, capsys):
+        # was a raw OverflowError traceback from the int8 cast
+        spec = json.loads(json.dumps(SPEC))
+        for modes in spec["classes"]:
+            for mode in modes:
+                mode["attributes"] = [0, 1]
+        spec["classes"][1][0]["attributes"] = [300, 1]
+        path, out = tmp_path / "spec.json", tmp_path / "o.csv"
+        path.write_text(json.dumps(spec))
+        assert main(["gen-data", str(path), str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: class 1 has an attribute value other than 0 or 1\n")
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("command", ["gen-data", "train"])
 @pytest.mark.parametrize("case", BAD_SPECS)
@@ -289,6 +303,16 @@ class TestTrain:
         reps = EmbeddingModel.load(outdir / "checkpoint.bin").embed(test.inputs)
         expected = attribute_precision(reps, test.attributes, [5, 10, 20])
         assert report["attribute_precision"] == {str(k): v for k, v in expected.items()}
+
+    def test_non_binary_csv_attribute_errors(self, tmp_path, capsys):
+        # was a raw OverflowError traceback from the int8 cast
+        data, attrs = tmp_path / "d.csv", tmp_path / "a.csv"
+        assert main(["gen-data", str(write_spec(tmp_path)), str(data)]) == 0
+        attrs.write_text("a0\n300\n" + "1\n" * 159)
+        config = write_config(tmp_path, mixture_spec=None, dataset=data, dataset_attributes=attrs)
+        assert main(["train", str(config), str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {attrs}: line 2: attribute value 300 is not 0 or 1\n")
 
 
 class TestEval:

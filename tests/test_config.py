@@ -4,7 +4,7 @@ no input to ``parse_config`` or ``load_dataset`` escapes as an untyped error."""
 import dataclasses
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from magnetdml import ExperimentConfig, load_dataset, parse_config
@@ -119,7 +119,9 @@ def test_parse_config_fuzz(tmp_path_factory, lines, junk):
 
 
 CELLS = st.one_of(
-    st.sampled_from(["label", "f0", "0", "1", "-3", "0.5", "nan", "inf", "", '"', "1e999"]),
+    st.sampled_from(["label", "f0", "0", "1", "-3", "0.5", "nan", "inf", "", '"', "1e999",
+                     " 1 ", " 0.5", "  ", "1_0", "٣", "١٢", '"1.5"', '"a""b"', "300",
+                     str(2**63), str(-(2**63) - 1)]),
     st.text(max_size=6),
 )
 
@@ -129,6 +131,9 @@ CELLS = st.one_of(
        | st.lists(CELLS, max_size=3),
        rows=st.lists(st.lists(CELLS, max_size=4), max_size=6), junk=st.binary(max_size=4),
        attributes=st.none() | st.lists(st.lists(CELLS, max_size=3), max_size=6))
+@example(header=["label", "f0"], rows=[["0", "nan"], ["1", "x", '"']], junk=b"", attributes=None)
+@example(header=["label", "f0"], rows=[[], ["-3", " 0.5"], [], [str(2**63), "1_0"]],
+         junk=b"\n", attributes=[["a0"], ["1"], ["300"]])
 def test_load_dataset_fuzz(tmp_path_factory, header, rows, junk, attributes):
     tmp = tmp_path_factory.mktemp("csv")
     (tmp / "data.csv").write_bytes(

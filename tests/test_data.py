@@ -81,6 +81,13 @@ class TestGenerateMixture:
         with pytest.raises(ConfigurationError, match="either all modes or no modes"):
             spec.validate()
 
+    @pytest.mark.parametrize("value", [300, 2, -1, 0.5])
+    def test_non_binary_attribute_rejected_by_validate(self, value):
+        # a 300 used to escape as a raw OverflowError from the int8 cast
+        spec = MixtureSpec(classes=[[Mode([0.0], 1.0, 2, attributes=[value, 1])]])
+        with pytest.raises(ConfigurationError, match="class 0 has an attribute value other"):
+            spec.validate()
+
 
 class TestLoadDataset:
     def test_basic(self, tmp_path):
@@ -130,6 +137,14 @@ class TestLoadDataset:
         save_dataset(ds, tmp_path / "d.csv", attributes_path=tmp_path / "a.csv")
         back = load_dataset(tmp_path / "d.csv", attributes_path=tmp_path / "a.csv")
         assert (back.attributes == ds.attributes).all()
+
+    @pytest.mark.parametrize("value", ["300", "2", "-1"])
+    def test_non_binary_attribute_names_line(self, tmp_path, value):
+        # a 300 used to escape as a raw OverflowError from the int8 cast
+        (tmp_path / "d.csv").write_text("label,f0\n0,1.0\n1,2.0\n")
+        (tmp_path / "a.csv").write_text(f"a0,a1\n1,0\n\n0,{value}\n")
+        with pytest.raises(ParseError, match=f"a.csv: line 4: attribute value {value} is not 0"):
+            load_dataset(tmp_path / "d.csv", attributes_path=tmp_path / "a.csv")
 
 
 class TestSplit:
