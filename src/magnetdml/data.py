@@ -53,11 +53,12 @@ class Dataset:
             missing = int(np.flatnonzero(present == 0)[0])
             raise ConfigurationError(f"class {missing} has no examples")
         if self.attributes is not None:
-            self.attributes = np.asarray(self.attributes, dtype=np.int8)
-            if self.attributes.shape[0] != len(self.inputs) or self.attributes.ndim != 2:
+            attributes = np.asarray(self.attributes)
+            if attributes.ndim != 2 or attributes.shape[0] != len(self.inputs):
                 raise ConfigurationError("attributes must align with inputs")
-            if not np.isin(self.attributes, (0, 1)).all():
+            if not np.isin(attributes, (0, 1)).all():
                 raise ConfigurationError("attributes must be binary")
+            self.attributes = attributes.astype(np.int8, copy=False)
 
     @property
     def size(self) -> int:
@@ -232,11 +233,15 @@ def _load_attributes(path, expected_rows: int) -> np.ndarray:
 
 
 def _csv_rows(path):
-    """(line number, row) for each row of a CSV file. A file that is not
-    UTF-8 text, or that the csv module cannot split, is a ``ParseError``."""
+    """(physical line the row starts on, row) for each row of a CSV file. A
+    file that is not UTF-8 text, or that the csv module cannot split, is a
+    ``ParseError``."""
     try:
         with Path(path).open(newline="", encoding="utf-8") as fh:
-            yield from enumerate(csv.reader(fh), start=1)
+            reader, start = csv.reader(fh), 1
+            for row in reader:
+                yield start, row
+                start = reader.line_num + 1
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 

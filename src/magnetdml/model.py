@@ -1,4 +1,4 @@
-"""Feed-forward embedding map with exact backprop and SGD-with-momentum.
+"""Feed-forward embedding map, exact backprop, SGD with momentum, the saved-array codec.
 
 The map is a stack of affine layers with rectifier activations on hidden
 layers and identity output. Everything is float64; the finite-difference
@@ -7,7 +7,9 @@ checks of :mod:`magnetdml.gradcheck` depend on that.
 
 from __future__ import annotations
 
-import struct
+import base64
+import json
+import math
 from pathlib import Path
 from typing import List, Sequence, Tuple
 
@@ -15,8 +17,6 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .errors import ConfigurationError, ContractError, ParseError
-
-_CHECKPOINT_MAGIC = b"MDML1\x00"
 
 
 class ActivationTrace:
@@ -140,43 +140,24 @@ class EmbeddingModel:
         self._version += 1
 
     def to_bytes(self) -> bytes:
-        """Binary checkpoint: magic, layer count, dims, then row-major W and b arrays."""
-        parts = [_CHECKPOINT_MAGIC, struct.pack("<q", len(self.layer_dims)),
-                 np.asarray(self.layer_dims, dtype="<i8").tobytes()]
-        for w, b in zip(self.weights, self.biases):
-            parts += [w.astype("<f8").tobytes(), b.astype("<f8").tobytes()]
-        return b"".join(parts)
+        """JSON of ``weights`` and ``biases`` as ``training_state.json`` holds them."""
+        return json.dumps({key: [_pack(a) for a in getattr(self, key)]
+                           for key in ("weights", "biases")}).encode()
 
     def save(self, path):
         Path(path).write_bytes(self.to_bytes())
 
     @classmethod
     def load(cls, path) -> "EmbeddingModel":
-        """Read a checkpoint written by :meth:`save`. Any file that is not one,
-        including one whose weights are not finite, is a ``ParseError``."""
-        raw = Path(path).read_bytes()
-        off = len(_CHECKPOINT_MAGIC) + 8
-        if raw[: len(_CHECKPOINT_MAGIC)] != _CHECKPOINT_MAGIC or len(raw) < off:
-            raise ParseError(f"{path}: not a model checkpoint")
-        (n_dims,) = struct.unpack_from("<q", raw, off - 8)
-        if not 2 <= n_dims <= (len(raw) - off) // 8:
-            raise ParseError(f"{path}: bad layer count {n_dims}")
-        dims = np.frombuffer(raw, dtype="<i8", count=n_dims, offset=off).tolist()
-        off += 8 * n_dims
-        # check the size the dims imply before allocating anything from them
-        if min(dims) < 1 or off + 8 * sum(o * (i + 1) for i, o in zip(dims, dims[1:])) != len(raw):
-            raise ParseError(f"{path}: layer dims {dims} do not match the file size")
-        model = cls(dims, seed=0)
-        for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-            w = np.frombuffer(raw, dtype="<f8", count=fan_out * fan_in, offset=off)
-            off += 8 * fan_out * fan_in
-            b = np.frombuffer(raw, dtype="<f8", count=fan_out, offset=off)
-            off += 8 * fan_out
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise ParseError(f"{path}: non-finite weights in layer {i}")
-            model.weights[i] = w.reshape(fan_out, fan_in).copy()
-            model.biases[i] = b.copy()
-        return model
+        """A :meth:`save` checkpoint; any other file (non-finite weights too) is a ParseError."""
+        try:
+            raw = json.loads(Path(path).read_bytes())
+            model = cls(_layer_dims(raw["weights"]), seed=0)
+            for key in ("weights", "biases"):
+                _restore(getattr(model, key), raw[key], key)
+            return model
+        except (LookupError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+            raise ParseError(f"{path}: not a model checkpoint: {exc}") from exc
 
 
 def momentum_sgd(params, velocities, grads, config: ExperimentConfig, iteration: int):
@@ -192,3 +173,55 @@ def momentum_sgd(params, velocities, grads, config: ExperimentConfig, iteration:
         v -= rate * g
         p += v
 
+
+
+def _pack(array) -> dict:
+    """An array as JSON: its shape and base64 of its little-endian float64 bytes."""
+    array = np.asarray(array, dtype="<f8")
+    return {"shape": list(array.shape), "f8": base64.b64encode(array.tobytes()).decode("ascii")}
+
+
+def _unpack(blob, key, expected=None) -> np.ndarray:
+    """The array :func:`_pack` wrote, of shape ``expected`` if one is given; a
+    blob of any other form is a ValueError."""
+    if isinstance(blob, list):
+        raise ValueError(f"{key!r} is a JSON list, as in the old list format, which is not read")
+    if not isinstance(blob, dict):
+        raise ValueError(f"{key!r} is not an array blob")
+    shape = blob["shape"]
+    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+        raise ValueError(f"{key!r} has a bad shape {shape!r}")
+    if expected is not None and tuple(shape) != tuple(expected):
+        raise ValueError(f"{key!r} has shape {tuple(shape)}, not {tuple(expected)}")
+    f8 = blob.get("f8")
+    if not isinstance(f8, str):
+        raise ValueError(f"{key!r} has an 'f8' of {f8!r}, not a base64 string")
+    try:
+        data = base64.b64decode(f8, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character outside ASCII
+        raise ValueError(f"{key!r} is not base64: {exc}") from exc
+    if len(data) != 8 * math.prod(shape):
+        raise ValueError(f"{key!r} holds {len(data)} bytes, its shape {shape} needs "
+                         f"{8 * math.prod(shape)}")
+    return np.frombuffer(data, dtype="<f8").reshape(shape)
+
+
+def _layer_dims(weight_blobs) -> List[int]:
+    """The layer dims of these weight blobs, each checked against its bytes;
+    blobs that are not a chain of 2-D weights, all dims >= 1, a ValueError."""
+    shapes = [_unpack(w, "weights").shape for w in weight_blobs]
+    dims = [s[-1] for s in shapes[:1]] + [s[0] for s in shapes]
+    if not dims or min(dims) < 1 or any(s != (o, i) for s, i, o in zip(shapes, dims, dims[1:])):
+        raise ValueError(f"'weights' shapes {shapes} are not a chain of layers")
+    return dims
+
+
+def _restore(arrays, blobs, key):
+    """Copy a list of blobs into ``arrays`` in place; a list of another length,
+    a blob of another shape or a non-finite value is a ValueError."""
+    if not isinstance(blobs, list) or len(blobs) != len(arrays):
+        raise ValueError(f"{key!r} is not a list of {len(arrays)} arrays")
+    for a, blob in zip(arrays, blobs):
+        a[...] = _unpack(blob, key, a.shape)
+        if not np.isfinite(a).all():
+            raise ValueError(f"{key!r} holds a non-finite value")

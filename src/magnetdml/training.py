@@ -9,28 +9,28 @@ builds the fresh model and its own state; ``refresh(seed)`` rebuilds what
 derives from the model's embedding of the training set (magnet index,
 triplet miner); an iteration is ``sample(rng)``, every rng draw, then
 ``objective(model, batch) -> (loss, grads, kinks, out)``, pure given the
-model and the batch and the one that ``grad-check`` checks, then the SGD step
-and ``after(batch, out, iteration)``; ``predict(sigma2, iteration)``
-classifies the test split for the eval rows and the report; ``sigma2()`` is
-the report variance; ``state()`` adds its own keys to ``training_state.json``
-and ``resume(raw)`` copies them into its own arrays. The report classifies
-as an eval at the last iteration does, so such an eval serves it.
+model and the batch and the one that ``grad-check`` checks, then, if the loss
+is finite, the SGD step and ``after(batch, out, iteration)``;
+``predict(sigma2, iteration)`` classifies the test split for the eval rows and
+the report; ``sigma2()`` is the report variance; ``state()`` adds its own keys
+to ``training_state.json`` and ``resume(raw)`` copies them into its own
+arrays. The report classifies as an eval at the last iteration does, so such
+an eval serves it.
 
 Resume contract: any state the loop writes resumes byte for byte, under the
 config it was saved with; only ``iterations`` may differ, and not fall below
 the saved iteration. A state is the one file ``training_state.json``, and it
 is always at a refresh boundary; the ``checkpoint.bin`` written after it is
-an export of the current model for ``eval`` that resume never reads. A state
-saved at iteration t holds the config, the model and velocities, the rng
-before any draw of iteration t and the t metrics rows. The final save of a
-run that ends off a boundary writes the state of the last boundary, so its
-resume re-runs at most ``refresh_interval - 1`` iterations.
+the current model in the state's blob form, for ``eval``; resume never reads
+it. A state saved at iteration t holds the config, the model and velocities,
+the rng before any draw of iteration t and the t metrics rows. The final save
+of a run that ends off a boundary writes the state of the last boundary, so
+its resume re-runs at most ``refresh_interval - 1`` iterations.
 ``train(resume_from=dir)`` restores it in place.
 """
 
 from __future__ import annotations
 
-import base64
 import csv
 import dataclasses
 import json
@@ -49,7 +49,7 @@ from .errors import ConfigurationError, ContractError, ParseError
 from .evaluate import (EvalContext, SigmaTracker, attribute_precision, classify_batch, error_rate,
                        knc_context, reference_sigma2, soft_knn_context)
 from .index import build_index
-from .model import EmbeddingModel
+from .model import EmbeddingModel, _layer_dims, _pack, _restore, _unpack
 from .sampler import TripletMiner, sample_neighbourhood, sample_triplets
 
 
@@ -115,9 +115,6 @@ def train(
                     _save_training_state(checkpoint_dir, step, rng, it, boundary)
             step.refresh(int(rng.integers(2**31)) if step.seeded else None)
         loss, batch = step.step(it, rng)
-        if not np.isfinite(loss):
-            raise ContractError("non-finite loss at iteration %d; offending batch: %s" % (
-                it, json.dumps(batch, default=lambda a: a.tolist())))
         row = MetricsRow(it, loss)
         if (it + 1) % config.eval_interval == 0:
             preds = step.predict(None, it)
@@ -138,10 +135,11 @@ def train(
 class _Step:
     """The part of the loop that differs between objectives (module docstring).
     A batch is a dict naming its examples (magnet's, a :class:`Neighbourhood`
-    that ``named`` turns into one), which ``step`` returns with the loss for
-    the loop to name if the loss is not finite. The kinks are the unflattened
-    hinge and rectifier arguments, which only grad-check reads. ``predict``
-    defaults to soft kNN over the training set, built by ``context``."""
+    that ``named`` turns into one), which ``step`` returns with the loss, or
+    names in a ``ContractError`` before the SGD step if the loss is not
+    finite. The kinks are the unflattened hinge and rectifier arguments, which
+    only grad-check reads. ``predict`` defaults to soft kNN over the training
+    set, built by ``context``."""
 
     seeded = False  # refresh takes an index seed drawn from the training rng
     metric = "soft_knn"
@@ -156,6 +154,9 @@ class _Step:
     def step(self, iteration, rng):
         batch = self.sample(rng)
         loss, grads, _, out = self.objective(self.model, batch)
+        if not np.isfinite(loss):
+            raise ContractError("non-finite loss at iteration %d; offending batch: %s" % (
+                iteration, json.dumps(self.named(batch), default=lambda a: a.tolist())))
         self.model.sgd_step(grads, self.config, iteration)
         self.after(batch, out, iteration)
         return loss, self.named(batch)
@@ -491,8 +492,7 @@ def _load_training_state(outdir, step, rng) -> Tuple[int, List[MetricsRow]]:
             raise ConfigurationError(
                 f"the saved state is at iteration {iteration}, past the "
                 f"config's iterations = {config.iterations}")
-        shapes = [_unpack(w, "weights").shape for w in raw["weights"]]
-        saved_dims = [shapes[0][1]] + [s[0] for s in shapes]
+        saved_dims = _layer_dims(raw["weights"])
         if saved_dims != model.layer_dims:
             raise ConfigurationError(
                 f"the saved model has layers {saved_dims}, the config's model "
@@ -522,7 +522,8 @@ def _load_training_state(outdir, step, rng) -> Tuple[int, List[MetricsRow]]:
         return iteration, metrics
     except ConfigurationError:
         raise
-    except (LookupError, TypeError, ValueError, OverflowError, ContractError) as exc:
+    except (LookupError, TypeError, ValueError, OverflowError, RecursionError,
+            ContractError) as exc:
         raise ParseError(f"{outdir}: bad training state: {exc}") from exc
 
 
@@ -538,45 +539,3 @@ def _check_rng_state(saved, name):
         if not (type(value) is int and 0 <= value < 2**bits):
             raise ValueError(f"'rng_state.{key}' = {value!r} is not an int in [0, 2**{bits})")
 
-
-def _pack(array) -> dict:
-    """An array as JSON: its shape and base64 of its little-endian float64 bytes."""
-    array = np.asarray(array, dtype="<f8")
-    return {"shape": list(array.shape), "f8": base64.b64encode(array.tobytes()).decode("ascii")}
-
-
-def _unpack(blob, key, expected=None) -> np.ndarray:
-    """The array :func:`_pack` wrote, of shape ``expected`` if one is given; a
-    blob of any other form is a ValueError."""
-    if isinstance(blob, list):
-        raise ValueError(f"{key!r} is a JSON list: the state is in the old list format, "
-                         "which this version no longer reads")
-    if not isinstance(blob, dict):
-        raise ValueError(f"{key!r} is not an array blob")
-    shape = blob["shape"]
-    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
-        raise ValueError(f"{key!r} has a bad shape {shape!r}")
-    if expected is not None and tuple(shape) != tuple(expected):
-        raise ValueError(f"{key!r} has shape {tuple(shape)}, not {tuple(expected)}")
-    f8 = blob.get("f8")
-    if not isinstance(f8, str):
-        raise ValueError(f"{key!r} has an 'f8' of {f8!r}, not a base64 string")
-    try:
-        data = base64.b64decode(f8, validate=True)
-    except ValueError as exc:  # binascii.Error, or a character outside ASCII
-        raise ValueError(f"{key!r} is not base64: {exc}") from exc
-    if len(data) != 8 * math.prod(shape):
-        raise ValueError(f"{key!r} holds {len(data)} bytes, its shape {shape} needs "
-                         f"{8 * math.prod(shape)}")
-    return np.frombuffer(data, dtype="<f8").reshape(shape)
-
-
-def _restore(arrays, blobs, key):
-    """Copy a list of blobs into ``arrays`` in place; a list of another length,
-    a blob of another shape or a non-finite value is a ValueError."""
-    if not isinstance(blobs, list) or len(blobs) != len(arrays):
-        raise ValueError(f"{key!r} is not a list of {len(arrays)} arrays")
-    for a, blob in zip(arrays, blobs):
-        a[...] = _unpack(blob, key, a.shape)
-        if not np.isfinite(a).all():
-            raise ValueError(f"{key!r} holds a non-finite value")

@@ -11,6 +11,8 @@ from magnetdml.evaluate import attribute_precision
 from magnetdml.model import EmbeddingModel
 from magnetdml.training import resolve_datasets
 
+from test_model import old_binary_checkpoint
+
 
 SPEC = {
     "classes": [
@@ -377,6 +379,19 @@ class TestEval:
         capsys.readouterr()
         assert main(["eval", str(ckpt), str(data), str(tmp_path / "eval")]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_old_binary_checkpoint_errors(self, tmp_path, capsys):
+        config = write_config(tmp_path, iterations=20)
+        outdir = tmp_path / "out"
+        main(["train", str(config), str(outdir)])
+        ckpt = outdir / "checkpoint.bin"
+        ckpt.write_bytes(old_binary_checkpoint(EmbeddingModel.load(ckpt)))
+        data = tmp_path / "data.csv"
+        main(["gen-data", str(write_spec(tmp_path)), str(data)])
+        capsys.readouterr()
+        assert main(["eval", str(ckpt), str(data), str(tmp_path / "eval")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {ckpt}: not a model checkpoint")
+        assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize("objective", ["magnet", "triplet"])
     def test_zero_sigma2_rejected(self, tmp_path, capsys, objective):

@@ -30,6 +30,12 @@ class TestDatasetInvariants:
             Dataset(inputs=np.zeros((2, 1)), labels=np.array([0, 1]),
                     attributes=np.array([[2, 0], [0, 1]]))
 
+    @pytest.mark.parametrize("value", [300, -129, 0.5])
+    def test_attributes_checked_before_the_int8_cast(self, value):
+        # 300 and -129 were a raw OverflowError from the cast, 0.5 truncated to 0
+        with pytest.raises(ConfigurationError, match="attributes must be binary"):
+            Dataset(np.zeros((2, 1)), np.array([0, 1]), attributes=[[value], [1]])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_inputs_rejected(self, bad):
         with pytest.raises(ConfigurationError, match="finite"):
@@ -121,6 +127,13 @@ class TestLoadDataset:
         p = tmp_path / "d.csv"
         p.write_text(f"label,f0,f1\n0,1.0,2.0\n\n1,3.0,{bad}\n")
         with pytest.raises(ParseError, match="line 4: non-finite"):
+            load_dataset(p)
+
+    def test_line_after_a_multi_line_field_is_named_by_its_physical_line(self, tmp_path):
+        # the quoted "1\n" spans lines 2 and 3, so the x is on line 4
+        p = tmp_path / "d.csv"
+        p.write_text('label,f0\n0,"1\n"\n1,x\n')
+        with pytest.raises(ParseError, match="line 4: could not convert string to float: 'x'"):
             load_dataset(p)
 
     def test_roundtrip(self, tmp_path, small_dataset):

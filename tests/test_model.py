@@ -1,3 +1,5 @@
+import json
+import struct
 import tracemalloc
 
 import numpy as np
@@ -174,6 +176,16 @@ def flat_size(model):
     return model.get_flat_params().size
 
 
+def old_binary_checkpoint(model) -> bytes:
+    """A checkpoint in the binary format that JSON replaced: magic, layer
+    count and dims as int64, then each layer's W and b as float64."""
+    parts = [b"MDML1\x00", struct.pack("<q", len(model.layer_dims)),
+             struct.pack(f"<{len(model.layer_dims)}q", *model.layer_dims)]
+    for w, b in zip(model.weights, model.biases):
+        parts += [w.astype("<f8").tobytes(), b.astype("<f8").tobytes()]
+    return b"".join(parts)
+
+
 class TestCheckpoint:
     def test_roundtrip_bitwise(self, tmp_path):
         m = EmbeddingModel([3, 5, 2], seed=9)
@@ -204,11 +216,45 @@ class TestCheckpoint:
             EmbeddingModel.load(p)
 
     def test_huge_dims_rejected_before_allocating(self, tmp_path):
-        raw = bytearray(EmbeddingModel([3, 5, 2], seed=9).to_bytes())
-        raw[14:22] = (2**40).to_bytes(8, "little")  # the first layer dim
+        raw = json.loads(EmbeddingModel([3, 5, 2], seed=9).to_bytes())
+        raw["weights"][0]["shape"] = [2**40, 3]  # the first layer's rows
         p = tmp_path / "checkpoint.bin"
-        p.write_bytes(bytes(raw))
-        with pytest.raises(ParseError, match="file size"):
+        p.write_text(json.dumps(raw))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match=r"'weights' holds 120 bytes, its shape .* needs"):
+                EmbeddingModel.load(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_old_binary_checkpoint_rejected(self, tmp_path):
+        p = tmp_path / "checkpoint.bin"
+        p.write_bytes(old_binary_checkpoint(EmbeddingModel([3, 5, 2], seed=9)))
+        with pytest.raises(ParseError, match="checkpoint.bin: not a model checkpoint"):
+            EmbeddingModel.load(p)
+
+    @pytest.mark.parametrize("edit", [
+        lambda raw: {**raw, "weights": []},
+        lambda raw: {**raw, "weights": raw["weights"][::-1]},  # not a chain
+        lambda raw: {**raw, "weights": [{**raw["weights"][0], "shape": [15]}] + raw["weights"][1:]},
+        lambda raw: {**raw, "weights": [{"shape": [0, 3], "f8": ""}]},
+        lambda raw: {**raw, "biases": raw["biases"][:1]},
+        lambda raw: {"weights": raw["weights"]},
+        lambda raw: list(raw.values()),
+    ], ids=["empty", "broken-chain", "one-d", "zero-dim", "short-biases", "no-biases", "list"])
+    def test_bad_layers_rejected(self, tmp_path, edit):
+        raw = json.loads(EmbeddingModel([3, 5, 2], seed=9).to_bytes())
+        p = tmp_path / "checkpoint.bin"
+        p.write_text(json.dumps(edit(raw)))
+        with pytest.raises(ParseError, match="checkpoint.bin: not a model checkpoint"):
+            EmbeddingModel.load(p)
+
+    def test_deeply_nested_json_rejected(self, tmp_path):
+        p = tmp_path / "checkpoint.bin"
+        p.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ParseError, match="checkpoint.bin: not a model checkpoint"):
             EmbeddingModel.load(p)
 
     def test_non_finite_weights_rejected(self, tmp_path):
@@ -240,4 +286,10 @@ def test_load_fuzz_loads_or_raises_typed_error(tmp_path_factory, cut, flips):
     except (ParseError, ConfigurationError):
         return
     assert all(np.isfinite(a).all() for a in model.weights + model.biases)
-    assert model.to_bytes() == bytes(raw[:cut])
+    # a file may load and re-export to other bytes (JSON spacing, unused
+    # base64 bits), but the re-export reloads to the very arrays it holds
+    model.save(p)
+    back = EmbeddingModel.load(p)
+    assert back.layer_dims == model.layer_dims
+    for a, b in zip(model.weights + model.biases, back.weights + back.biases):
+        assert a.tobytes() == b.tobytes()

@@ -84,6 +84,16 @@ def test_arrays_round_trip(tmp_path):
         assert [v["shape"] for v in state[key]] == [[16], [8]]
 
 
+@pytest.mark.parametrize("objective", ["magnet", "ncm"])
+def test_exported_model_blobs_equal_the_state_s(objective, tmp_path):
+    # a run that ends on a refresh boundary exports the model the state holds
+    _, path = saved_state(tmp_path, objective, iterations=40)
+    state = json.loads(path.read_text())
+    exported = json.loads((tmp_path / "checkpoint.bin").read_text())
+    assert state["iteration"] == 40
+    assert exported == {"weights": state["weights"], "biases": state["biases"]}
+
+
 def test_softmax_head_round_trip(tmp_path):
     config, path = saved_state(tmp_path, objective="softmax")
     head = json.loads(path.read_text())["head"]
@@ -111,6 +121,13 @@ def test_state_without_the_model_rejected(tmp_path):
     rewrite(path, lambda state: [state.pop("weights"), state.pop("biases"),
                                  state.update(checkpoint_sha256="0" * 64)])
     with pytest.raises(ParseError, match="'weights'"):
+        train(config, *pin_data(), resume_from=tmp_path)
+
+
+def test_deeply_nested_state_rejected(tmp_path):
+    config, path = saved_state(tmp_path)
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ParseError, match="bad training state"):
         train(config, *pin_data(), resume_from=tmp_path)
 
 

@@ -1,4 +1,5 @@
-"""The training loop's abort on a non-finite loss, and the batch it names."""
+"""The training step's abort on a non-finite loss, before it writes the model,
+and the batch it names."""
 
 import json
 
@@ -40,3 +41,23 @@ def test_magnet_batch_names_cluster_rows():
                                   np.repeat(rows, config.d))
     written = json.loads(json.dumps(batch, default=lambda a: a.tolist()))  # as the abort does
     assert written["clusters"] == [int(r) for r in rows]
+
+
+
+def test_non_finite_loss_aborts_before_the_step_writes_anything():
+    config = ExperimentConfig(**{**COMMON, **CONFIGS["magnet"]})
+    step = _MagnetStep(config, *pin_data())
+    rng = np.random.default_rng(0)
+    step.refresh(0)
+    step.step(0, rng)  # so that the velocities, the loss cache and sigma are set
+    model = step.model
+    arrays = lambda: [a.tobytes() for a in model.weights + model.biases + model.w_velocity
+                      + model.b_velocity + [step.loss_cache]]
+    before, sigma2 = arrays(), step.sigma.value
+    objective = step.objective
+    step.objective = lambda model, nb: (np.nan, *objective(model, nb)[1:])
+    with pytest.raises(ContractError, match="^non-finite loss at iteration 1; offending batch: "):
+        step.step(1, rng)
+    assert arrays() == before
+    assert step.sigma.value == sigma2
+    assert model.version == 1
