@@ -134,7 +134,7 @@ class MixtureSpec:
             ]
         except KeyError as exc:
             raise ParseError(f"{path}: missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, RecursionError) as exc:
             raise ParseError(f"{path}: bad mixture spec: {exc}") from exc
         return cls(classes=classes)
 

@@ -11,9 +11,11 @@ import numpy as np
 from .errors import ConfigurationError, ContractError
 from .index import VARIANCE_FLOOR, class_kmeans, cluster_variance, sqdist_blocks
 
-# Distances per row block of the scoring kernel (1 MiB of float64): a call
-# holds the full distance product and one block, not several full matrices.
-_BLOCK_ELEMENTS = 1 << 17
+# Distances per row block of the scoring kernel (512 KiB of float64): a
+# block and _stable_nearest's argpartition indices for it (int64, as many)
+# fit in 1 MiB together, so a call holds the full distance product and
+# about 1 MiB beside it. Smaller blocks cost time in per-block overhead.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass

@@ -152,9 +152,10 @@ class EmbeddingModel:
         """A :meth:`save` checkpoint; any other file (non-finite weights too) is a ParseError."""
         try:
             raw = json.loads(Path(path).read_bytes())
-            model = cls(_layer_dims(raw["weights"]), seed=0)
-            for key in ("weights", "biases"):
-                _restore(getattr(model, key), raw[key], key)
+            dims, weights = _unpack_weights(raw["weights"])
+            model = cls(dims, seed=0)
+            _copy_finite(model.weights, weights, "weights")
+            _restore(model.biases, raw["biases"], "biases")
             return model
         except (LookupError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise ParseError(f"{path}: not a model checkpoint: {exc}") from exc
@@ -206,14 +207,16 @@ def _unpack(blob, key, expected=None) -> np.ndarray:
     return np.frombuffer(data, dtype="<f8").reshape(shape)
 
 
-def _layer_dims(weight_blobs) -> List[int]:
-    """The layer dims of these weight blobs, each checked against its bytes;
-    blobs that are not a chain of 2-D weights, all dims >= 1, a ValueError."""
-    shapes = [_unpack(w, "weights").shape for w in weight_blobs]
+def _unpack_weights(weight_blobs) -> Tuple[List[int], List[np.ndarray]]:
+    """The layer dims and the arrays of these weight blobs, each blob decoded
+    once and checked against its bytes; blobs that are not a chain of 2-D
+    weights, all dims >= 1, a ValueError."""
+    weights = [_unpack(w, "weights") for w in weight_blobs]
+    shapes = [w.shape for w in weights]
     dims = [s[-1] for s in shapes[:1]] + [s[0] for s in shapes]
     if not dims or min(dims) < 1 or any(s != (o, i) for s, i, o in zip(shapes, dims, dims[1:])):
         raise ValueError(f"'weights' shapes {shapes} are not a chain of layers")
-    return dims
+    return dims, weights
 
 
 def _restore(arrays, blobs, key):
@@ -221,7 +224,13 @@ def _restore(arrays, blobs, key):
     a blob of another shape or a non-finite value is a ValueError."""
     if not isinstance(blobs, list) or len(blobs) != len(arrays):
         raise ValueError(f"{key!r} is not a list of {len(arrays)} arrays")
-    for a, blob in zip(arrays, blobs):
-        a[...] = _unpack(blob, key, a.shape)
+    _copy_finite(arrays, (_unpack(blob, key, a.shape) for a, blob in zip(arrays, blobs)), key)
+
+
+def _copy_finite(arrays, values, key):
+    """Copy ``values`` into ``arrays`` in place, one by one; a non-finite
+    value is a ValueError."""
+    for a, value in zip(arrays, values):
+        a[...] = value
         if not np.isfinite(a).all():
             raise ValueError(f"{key!r} holds a non-finite value")

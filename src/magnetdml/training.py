@@ -49,7 +49,7 @@ from .errors import ConfigurationError, ContractError, ParseError
 from .evaluate import (EvalContext, SigmaTracker, attribute_precision, classify_batch, error_rate,
                        knc_context, reference_sigma2, soft_knn_context)
 from .index import build_index
-from .model import EmbeddingModel, _layer_dims, _pack, _restore, _unpack
+from .model import EmbeddingModel, _copy_finite, _pack, _restore, _unpack, _unpack_weights
 from .sampler import TripletMiner, sample_neighbourhood, sample_triplets
 
 
@@ -492,7 +492,7 @@ def _load_training_state(outdir, step, rng) -> Tuple[int, List[MetricsRow]]:
             raise ConfigurationError(
                 f"the saved state is at iteration {iteration}, past the "
                 f"config's iterations = {config.iterations}")
-        saved_dims = _layer_dims(raw["weights"])
+        saved_dims, weights = _unpack_weights(raw["weights"])
         if saved_dims != model.layer_dims:
             raise ConfigurationError(
                 f"the saved model has layers {saved_dims}, the config's model "
@@ -505,7 +505,8 @@ def _load_training_state(outdir, step, rng) -> Tuple[int, List[MetricsRow]]:
         if iteration % config.refresh_interval:
             raise ValueError(f"'iteration' = {iteration} is not a multiple of "
                              f"refresh_interval = {config.refresh_interval}")
-        for key in _MODEL_ARRAYS:
+        _copy_finite(model.weights, weights, "weights")
+        for key in _MODEL_ARRAYS[1:]:  # the weights are copied above
             _restore(getattr(model, key), raw[key], key)
         _check_rng_state(raw["rng_state"], rng.bit_generator.state["bit_generator"])
         rng.bit_generator.state = raw["rng_state"]

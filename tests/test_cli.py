@@ -36,13 +36,15 @@ def _spec_bytes(**mode):
     return json.dumps(spec).encode()
 
 
-# each was a raw KeyError, JSONDecodeError, ValueError or UnicodeDecodeError
+# each was a raw KeyError, JSONDecodeError, ValueError, UnicodeDecodeError or
+# RecursionError
 BAD_SPECS = {
     "no-count": _spec_bytes(count=None),
     "not-json": b"{bad",
     "text-center": _spec_bytes(center="ab"),
     "fractional-count": _spec_bytes(count=2.5),
     "not-utf8": b"\xff\xfe{}",
+    "deeply-nested": b"[" * 100_000 + b"]" * 100_000,
 }
 
 
@@ -151,7 +153,7 @@ def test_malformed_spec_errors(tmp_path, capsys, command, case):
             "train": [str(config), str(tmp_path / "out")]}[command]
     assert main([command, *args]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "spec.json" in err
+    assert err.startswith("error:") and err.count("\n") == 1 and "spec.json" in err
 
 
 class TestTrain:

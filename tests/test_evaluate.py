@@ -116,7 +116,7 @@ class TestKnc:
 def test_scoring_holds_one_distance_product():
     """One soft-kNN call at benchmark size allocates the full query x
     reference distance product and little more: the rest of the work runs in
-    row blocks of about 1 MB. Holding the whole distance matrix beside the
+    row blocks of 512 KiB. Holding the whole distance matrix beside the
     product read 2.04x the product's bytes."""
     rng = np.random.default_rng(0)
     ctx = EvalContext(rng.normal(size=(3600, 32)), rng.integers(0, 10, 3600), sigma2=1.0)
@@ -128,6 +128,23 @@ def test_scoring_holds_one_distance_product():
     finally:
         tracemalloc.stop()
     assert peak <= 1.2 * 900 * 3600 * 8
+
+
+def test_scoring_work_beside_the_product_is_bounded():
+    """Beside its 900 x 3600 distance product, a soft-kNN call holds one
+    512 KiB distance block, the argpartition indices taken from it and small
+    per-row arrays. With 1 MiB blocks this read 2.41 MiB; with 512 KiB
+    blocks, 1.26 MiB."""
+    rng = np.random.default_rng(0)
+    ctx = EvalContext(rng.normal(size=(3600, 32)), rng.integers(0, 10, 3600), sigma2=1.0)
+    queries = rng.normal(size=(900, 32))
+    tracemalloc.start()
+    try:
+        classify_batch(ctx, queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 900 * 3600 * 8 <= 1.5 * 2**20
 
 
 

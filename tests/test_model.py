@@ -1,6 +1,8 @@
+import base64
 import json
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -195,6 +197,15 @@ class TestCheckpoint:
         assert back.layer_dims == m.layer_dims
         for a, b in zip(m.weights + m.biases, back.weights + back.biases):
             assert (a == b).all()
+
+    def test_load_decodes_each_blob_once(self, tmp_path):
+        # the weight blobs used to be decoded twice: once for the layer dims,
+        # again to copy them into the model
+        p = tmp_path / "checkpoint.bin"
+        EmbeddingModel([8, 64, 32], seed=9).save(p)
+        with mock.patch("magnetdml.model.base64.b64decode", wraps=base64.b64decode) as decode:
+            EmbeddingModel.load(p)
+        assert decode.call_count == 4  # two weight and two bias blobs
 
     def test_determinism_of_training_trajectory(self):
         def run():

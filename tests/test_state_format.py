@@ -14,6 +14,7 @@ line reports as an ``error:`` line with exit status 1.
 import base64
 import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -92,6 +93,20 @@ def test_exported_model_blobs_equal_the_state_s(objective, tmp_path):
     exported = json.loads((tmp_path / "checkpoint.bin").read_text())
     assert state["iteration"] == 40
     assert exported == {"weights": state["weights"], "biases": state["biases"]}
+
+
+@pytest.mark.parametrize("objective", ["magnet", "softmax"])
+def test_resume_decodes_each_blob_once(objective, tmp_path):
+    # the weight blobs used to be decoded twice: once for the layer dims,
+    # again to copy them into the model
+    config, path = saved_state(tmp_path, objective)
+    state = json.loads(path.read_text())
+    blobs = [v for v in state.values() if isinstance(v, dict) and "f8" in v]
+    blobs += [b for key in ("weights", "biases", "w_velocity", "b_velocity") for b in state[key]]
+    blobs += list(state.get("head", {}).values())
+    with mock.patch("magnetdml.model.base64.b64decode", wraps=base64.b64decode) as decode_:
+        train(config, *pin_data(), resume_from=tmp_path)
+    assert decode_.call_count == len(blobs)
 
 
 def test_softmax_head_round_trip(tmp_path):
