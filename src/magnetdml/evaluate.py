@@ -147,12 +147,33 @@ def classify_batch(ctx: EvalContext, representations: np.ndarray) -> np.ndarray:
     return _finite_scores(ctx, representations).argmax(axis=1)
 
 
-def error_rate(predictions, labels) -> float:
+def _aligned(predictions, labels) -> Tuple[np.ndarray, np.ndarray]:
     predictions = np.asarray(predictions)
     labels = np.asarray(labels)
     if len(predictions) == 0 or len(predictions) != len(labels):
         raise ContractError("predictions and labels must be non-empty and aligned")
+    return predictions, labels
+
+
+def error_rate(predictions, labels) -> float:
+    predictions, labels = _aligned(predictions, labels)
     return float((predictions != labels).mean())
+
+
+def confusion(predictions, labels, c: int) -> Tuple[np.ndarray, float]:
+    """The (c, c) counts of (true class, predicted class) pairs, in one
+    ``bincount``, and the error rate they give. ``(n - trace) / n`` is the
+    correctly rounded k / n, as :func:`error_rate`'s mean is, so the two are
+    equal to the bit. A class outside [0, c) is a ContractError: its cell
+    index would otherwise fall in another row."""
+    predictions, labels = _aligned(predictions, labels)
+    try:
+        cells = np.ravel_multi_index((labels, predictions), (c, c))
+    except ValueError:
+        raise ContractError(f"a prediction or label lies outside [0, {c})") from None
+    counts = np.bincount(cells, minlength=c * c).reshape(c, c)
+    n = len(labels)
+    return counts, (n - int(counts.trace())) / n
 
 
 def attribute_precision(

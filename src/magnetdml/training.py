@@ -10,7 +10,8 @@ derives from the model's embedding of the training set (magnet index,
 triplet miner); an iteration is ``sample(rng)``, every rng draw, then
 ``objective(model, batch) -> (loss, grads, kinks, out)``, pure given the
 model and the batch and the one that ``grad-check`` checks, then, if the loss
-is finite, the SGD step and ``after(batch, out, iteration)``;
+and the model's gradients are finite, the SGD step and
+``after(batch, out, iteration)``;
 ``predict(sigma2, iteration)`` classifies the test split for the eval rows and
 the report; ``sigma2()`` is the report variance; ``state()`` adds its own keys
 to ``training_state.json`` and ``resume(raw)`` copies them into its own
@@ -46,8 +47,8 @@ from . import losses as L
 from .config import ExperimentConfig
 from .data import Dataset, MixtureSpec, generate_mixture, load_dataset, split
 from .errors import ConfigurationError, ContractError, ParseError
-from .evaluate import (EvalContext, SigmaTracker, attribute_precision, classify_batch, error_rate,
-                       knc_context, reference_sigma2, soft_knn_context)
+from .evaluate import (EvalContext, SigmaTracker, attribute_precision, classify_batch, confusion,
+                       error_rate, knc_context, reference_sigma2, soft_knn_context)
 from .index import build_index
 from .model import EmbeddingModel, _copy_finite, _pack, _restore, _unpack, _unpack_weights
 from .sampler import TripletMiner, sample_neighbourhood, sample_triplets
@@ -93,11 +94,13 @@ def train(
 ) -> TrainResult:
     """Run the configured objective; deterministic given config and seed.
 
-    ``checkpoint_dir`` enables resumable state dumps: the state is taken at
-    every refresh boundary and written at each but the run's first, and the
-    final save writes the newest boundary's state again and exports the
-    model beside it. ``resume_from`` (a directory holding such a dump)
-    continues an interrupted run with an identical seed stream.
+    ``checkpoint_dir`` enables resumable state dumps: the state is taken and
+    written at every refresh boundary but the run's first. The final save
+    writes the state of the newest boundary and exports the model beside it.
+    That state is the end's when the run ends on a boundary; otherwise the
+    loop keeps the last one before the end for it, and takes it even when
+    that is the run's first. ``resume_from`` (a directory holding such a
+    dump) continues an interrupted run with an identical seed stream.
     """
     if train_data is None or test_data is None:
         train_data, test_data = resolve_datasets(config)
@@ -109,10 +112,13 @@ def train(
 
     for it in range(start, config.iterations):
         if it % config.refresh_interval == 0:
-            if checkpoint_dir is not None:
-                boundary = _dump_state(step, rng, it, metrics)
+            # the next boundary lies past the end: the final save writes this state
+            last = it + config.refresh_interval > config.iterations
+            if checkpoint_dir is not None and (it > start or last):
+                state = _dump_state(step, rng, it, metrics)
                 if it > start:
-                    _save_training_state(checkpoint_dir, step, rng, it, boundary)
+                    _save_training_state(checkpoint_dir, step, rng, it, state)
+                boundary = state if last else None
             step.refresh(int(rng.integers(2**31)) if step.seeded else None)
         loss, batch = step.step(it, rng)
         row = MetricsRow(it, loss)
@@ -136,10 +142,10 @@ class _Step:
     """The part of the loop that differs between objectives (module docstring).
     A batch is a dict naming its examples (magnet's, a :class:`Neighbourhood`
     that ``named`` turns into one), which ``step`` returns with the loss, or
-    names in a ``ContractError`` before the SGD step if the loss is not
-    finite. The kinks are the unflattened hinge and rectifier arguments, which
-    only grad-check reads. ``predict`` defaults to soft kNN over the training
-    set, built by ``context``."""
+    names in a ``ContractError`` before the SGD step if the loss or a
+    gradient of the model is not finite. The kinks are the unflattened hinge
+    and rectifier arguments, which only grad-check reads. ``predict``
+    defaults to soft kNN over the training set, built by ``context``."""
 
     seeded = False  # refresh takes an index seed drawn from the training rng
     metric = "soft_knn"
@@ -147,6 +153,8 @@ class _Step:
     def __init__(self, config, train_data, test_data, model=None):
         self.config, self.train_data, self.test_data = config, train_data, test_data
         self.model = model or EmbeddingModel(config.layer_dims, seed=config.seed)
+        # the report's confusion is over every class either split holds
+        self.class_count = max(train_data.class_count, test_data.class_count)
 
     def refresh(self, seed):
         pass
@@ -154,9 +162,10 @@ class _Step:
     def step(self, iteration, rng):
         batch = self.sample(rng)
         loss, grads, _, out = self.objective(self.model, batch)
-        if not np.isfinite(loss):
-            raise ContractError("non-finite loss at iteration %d; offending batch: %s" % (
-                iteration, json.dumps(self.named(batch), default=lambda a: a.tolist())))
+        fault = "loss" if not np.isfinite(loss) else _non_finite_gradient(grads)
+        if fault is not None:
+            raise ContractError("non-finite %s at iteration %d; offending batch: %s" % (
+                fault, iteration, json.dumps(self.named(batch), default=lambda a: a.tolist())))
         self.model.sgd_step(grads, self.config, iteration)
         self.after(batch, out, iteration)
         return loss, self.named(batch)
@@ -345,6 +354,22 @@ class _NcmStep(_Step):
         return L.ncm_classify(self.model.weights[0], self.centroids, self.test_data.inputs)
 
 
+def _non_finite_gradient(grads) -> Optional[str]:
+    """Name the first weight or bias gradient, by layer, that holds an entry
+    that is not finite; None when every entry is finite."""
+    # A screen of a few µs: an entry that is not finite makes the sum of
+    # squares inf or NaN, and so may a finite entry above 1e154, which the
+    # loop then clears. np.vdot, unlike np.dot, warns of no overflow.
+    if math.isfinite(sum([float(np.vdot(g, g)) for g in (*grads[0], *grads[1])])):
+        return None
+    for layer, pair in enumerate(zip(*grads)):
+        for kind, g in zip(("weight", "bias"), pair):
+            if not np.isfinite(g).all():
+                bad = g.size - np.count_nonzero(np.isfinite(g))
+                return f"gradient (layer {layer} {kind}, {bad} of {g.size} entries)"
+    return None
+
+
 _STEPS = {
     "magnet": _MagnetStep,
     "triplet": _TripletStep,
@@ -362,20 +387,18 @@ def build_report(config: ExperimentConfig, result: TrainResult) -> dict:
     test split is classified as an eval at the last iteration classifies it,
     and the predictions of such an eval are reused while the model and
     ``result.sigma2`` are those they were made with."""
-    train_data, test_data = result.train_data, result.test_data
+    test_data = result.test_data
     reused = result.final_eval
     if reused is not None and reused[:2] == (result.step.model.version, result.sigma2):
         preds = reused[2]
     else:
         preds = result.step.predict(result.sigma2, config.iterations - 1)
-    c = max(train_data.class_count, test_data.class_count)
-    confusion = np.zeros((c, c), dtype=int)
-    np.add.at(confusion, (test_data.labels, preds), 1)
+    counts, error = confusion(preds, test_data.labels, result.step.class_count)
     report = {
         "objective": config.objective,
         "metric": result.step.metric,
-        "error_rate": error_rate(preds, test_data.labels),
-        "confusion": confusion.tolist(),
+        "error_rate": error,
+        "confusion": counts.tolist(),
         "sigma2": result.sigma2,
     }
     if test_data.attributes is not None:

@@ -7,20 +7,29 @@ recomputed predictions, and its error rate is the last ``val_error``. Each
 case where the last eval cannot serve (no eval at the last iteration, a
 resume that starts at the end, a model stepped or a variance changed after
 ``train()``) classifies again, as an eval at the last iteration would.
+
+The confusion counts and the error rate come from one ``bincount`` in
+``evaluate.confusion``; they equal the ``np.add.at`` counts and
+``error_rate`` that the report was built from before, to the bit.
 """
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import magnetdml.training
 from magnetdml import Dataset, ExperimentConfig, generate_mixture
 from magnetdml.data import MixtureSpec, Mode
+from magnetdml.errors import ContractError
+from magnetdml.evaluate import confusion, error_rate
 from magnetdml.training import build_report, train
 
-from test_metrics_pin import COMMON, CONFIGS, pin_data
+from test_metrics_pin import COMMON, CONFIGS, openblas_core, pin_data
 
 
 def pin_config(objective, **overrides):
@@ -143,3 +152,75 @@ def test_confusion_matches_loop_with_a_class_train_lacks(objective):
         confusion[int(t), int(p)] += 1
     assert report["confusion"] == confusion.tolist()
     assert sum(report["confusion"][2]) == np.count_nonzero(test_data.labels == 2)
+
+
+# sha256 of json.dumps(build_report(...)) on the pin data, recorded when the
+# report still counted the confusion with np.add.at and took error_rate. Like
+# the metrics.csv pins they hold on the Haswell, SkylakeX and Cooperlake
+# OpenBLAS kernels; on Sandybridge and Nehalem magnet and ncmc differ, and on
+# Katmai ncm too.
+REPORT_SHA256 = {
+    "magnet": "14f6ab9f29f7e2a18d975e88c376007105edd206db58387e4d87d99aff7d552f",
+    "nca": "5233043f2e2993fbe409e7a6fafb64c74665149fc7b1891b1e73e0477cc93f9b",
+    "ncm": "2c4abd8170cb38e53e74447afbf53a73260a1269dd4eff48a8d1adbc2578153d",
+    "ncmc": "f20ac386bd3b17b776ba162aca5ab1c125d8ac713427413c75b7846888ec04cb",
+    "softmax": "a336926a546ce06dedef6b6146f5ca0364ff0455a77efb4b7e9168056798b11f",
+    "triplet": "6cfb1e7536e56938e631c6c713d70b69bac7f5da36f3ab0f233a5034ab6a6a18",
+}
+
+
+@pytest.mark.parametrize("objective", sorted(CONFIGS))
+def test_report_bytes_pinned(objective):
+    config = pin_config(objective)
+    report = json.dumps(build_report(config, train(config, *pin_data())))
+    assert hashlib.sha256(report.encode()).hexdigest() == REPORT_SHA256[objective], (
+        f"OPENBLAS_VERBOSE=2 reports this kernel as {openblas_core()!r}")
+
+
+def add_at_confusion(preds, labels, c):
+    counts = np.zeros((c, c), dtype=int)
+    np.add.at(counts, (labels, preds), 1)
+    return counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 300), c=st.integers(1, 12))
+def test_confusion_equals_add_at_and_error_rate(data, n, c):
+    # predictions only reach the first `predicted` classes, so the rest are
+    # absent from them, as a class that only the test split holds is
+    predicted = data.draw(st.integers(1, c))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(c, size=n)
+    preds = np.where(rng.random(n) < data.draw(st.floats(0, 1)), labels % predicted,
+                     rng.integers(predicted, size=n))
+    counts, error = confusion(preds, labels, c)
+    assert counts.tolist() == add_at_confusion(preds, labels, c).tolist()
+    assert repr(error) == repr(error_rate(preds, labels))
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_prediction_outside_the_classes_raises(bad):
+    labels = np.array([0, 1, 2, 3, 1])
+    preds = np.array([0, 1, 2, 3, bad])
+    # 1 * 4 + 4 and 1 * 4 - 1 are cells of rows 2 and 0: neither may be counted
+    with pytest.raises(ContractError, match=r"outside \[0, 4\)"):
+        confusion(preds, labels, 4)
+
+
+ALIGNED = "^predictions and labels must be non-empty and aligned$"
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda preds: np.r_[-1, preds[1:]], r"outside \[0, 4\)"),
+    (lambda preds: np.r_[4, preds[1:]], r"outside \[0, 4\)"),
+    (lambda preds: preds[:0], ALIGNED),
+    (lambda preds: preds[:2], ALIGNED),
+], ids=["minus-one", "class-count", "empty", "misaligned"])
+def test_report_refuses_bad_predictions(edit, match):
+    config = pin_config("nca")
+    result = train(config, *pin_data())
+    version, sigma2, preds = result.final_eval
+    result = dataclasses.replace(result, final_eval=(version, sigma2, edit(preds)))
+    with pytest.raises(ContractError, match=match):
+        build_report(config, result)

@@ -1,12 +1,12 @@
-"""The training step's abort on a non-finite loss, before it writes the model,
-and the batch it names."""
+"""The training step's abort on a non-finite loss or gradient, before it
+writes the model, and the batch it names; the state dumps the loop takes."""
 
 import json
 
 import numpy as np
 import pytest
 
-from magnetdml import ExperimentConfig
+from magnetdml import ExperimentConfig, training
 from magnetdml.errors import ContractError
 from magnetdml.training import _MagnetStep, train
 
@@ -44,7 +44,10 @@ def test_magnet_batch_names_cluster_rows():
 
 
 
-def test_non_finite_loss_aborts_before_the_step_writes_anything():
+def assert_abort_writes_nothing(corrupt, fault):
+    """Step a magnet step once, then once more with ``corrupt`` wrapped
+    around its objective: the second step names ``fault`` and leaves the
+    model, the velocities, the loss cache and sigma as they were."""
     config = ExperimentConfig(**{**COMMON, **CONFIGS["magnet"]})
     step = _MagnetStep(config, *pin_data())
     rng = np.random.default_rng(0)
@@ -54,10 +57,51 @@ def test_non_finite_loss_aborts_before_the_step_writes_anything():
     arrays = lambda: [a.tobytes() for a in model.weights + model.biases + model.w_velocity
                       + model.b_velocity + [step.loss_cache]]
     before, sigma2 = arrays(), step.sigma.value
-    objective = step.objective
-    step.objective = lambda model, nb: (np.nan, *objective(model, nb)[1:])
-    with pytest.raises(ContractError, match="^non-finite loss at iteration 1; offending batch: "):
+    step.objective = corrupt(step.objective)
+    with pytest.raises(ContractError) as info:
         step.step(1, rng)
+    assert str(info.value).startswith(f"non-finite {fault} at iteration 1; offending batch: ")
     assert arrays() == before
     assert step.sigma.value == sigma2
     assert model.version == 1
+
+
+def test_non_finite_loss_aborts_before_the_step_writes_anything():
+    assert_abort_writes_nothing(
+        lambda objective: lambda model, nb: (np.nan, *objective(model, nb)[1:]), "loss")
+
+
+@pytest.mark.parametrize("layer, kind, entries", [(0, "weight", 1), (1, "bias", 3)])
+def test_non_finite_gradient_aborts_before_the_step_writes_anything(layer, kind, entries):
+    def corrupt(objective):
+        def corrupted(model, nb):  # a finite loss with NaN in one gradient
+            loss, grads, kinks, out = objective(model, nb)
+            g = grads[kind == "bias"][layer]
+            g.flat[:entries] = np.nan
+            return loss, grads, kinks, out
+        return corrupted
+
+    size = {"weight": (64, 128), "bias": (16, 8)}[kind][layer]  # layer_dims [4, 16, 8]
+    assert_abort_writes_nothing(
+        corrupt, f"gradient (layer {layer} {kind}, {entries} of {size} entries)")
+
+
+def test_first_non_finite_gradient_is_named_by_layer():
+    # layer 0's bias comes before layer 1's weight, whatever the list order
+    grads = ([np.ones((4, 16)), np.full((16, 8), np.inf)], [np.array([1.0, np.nan]), np.ones(8)])
+    assert training._non_finite_gradient(grads) == "gradient (layer 0 bias, 1 of 2 entries)"
+    assert training._non_finite_gradient(([np.full((2, 2), 1e308)], [np.zeros(2)])) is None
+
+
+@pytest.mark.parametrize("iterations, dumps", [(1000, 20), (1020, 20), (30, 1)])
+def test_state_is_dumped_once_per_written_boundary(iterations, dumps, tmp_path, monkeypatch):
+    # the run's first boundary is dumped only when the final save writes it
+    config = ExperimentConfig(**{**COMMON, **CONFIGS["ncm"], "iterations": iterations,
+                                 "refresh_interval": 50, "eval_interval": iterations})
+    calls = []
+    dump = training._dump_state
+    monkeypatch.setattr(training, "_dump_state", lambda *args: calls.append(args[2]) or dump(*args))
+    train(config, *pin_data(), checkpoint_dir=tmp_path)
+    assert len(calls) == dumps
+    written = json.loads((tmp_path / "training_state.json").read_text())
+    assert written["iteration"] == calls[-1]
