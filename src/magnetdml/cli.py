@@ -3,7 +3,7 @@
 Subcommands:
   gen-data <spec.json> <out.csv>          draw a dataset from a mixture spec
   train <config> <outdir>                 run training, emit metrics/report/checkpoint
-  eval <checkpoint> <dataset> <outdir>    evaluate a saved model on a dataset
+  eval <run-dir> <dataset> <outdir>       report a finished run's model on a dataset
   bench <config...> --target <e>          compare iterations-to-target error
   grad-check <config>                     finite-difference check of every objective
 """
@@ -19,13 +19,9 @@ from pathlib import Path
 from .config import parse_config
 from .data import MixtureSpec, generate_mixture, load_dataset, save_dataset
 from .errors import ConfigurationError, ContractError, ParseError
-from .evaluate import classify_batch, error_rate, knc_context, soft_knn_context
 from .gradcheck import check_all_objectives
-from .model import EmbeddingModel
-from .training import bench, build_report, train, write_metrics_csv
-
-# the objectives a bare checkpoint classifies for
-EVAL_OBJECTIVES = ("magnet", "triplet", "nca")
+from .training import (bench, build_report, load_run_config, resolve_datasets, train,
+                       write_metrics_csv)
 
 
 def main(argv=None) -> int:
@@ -43,20 +39,10 @@ def main(argv=None) -> int:
     p.add_argument("outdir")
     p.add_argument("--resume", default=None, help="directory with a saved training state")
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
-    p.add_argument("checkpoint")
+    p = sub.add_parser("eval", help="report a finished run's model on a dataset")
+    p.add_argument("run_dir", metavar="run-dir", help="the outdir of a train run")
     p.add_argument("dataset")
     p.add_argument("outdir")
-    p.add_argument("--train-dataset", default=None,
-                   help="reference dataset (defaults to the evaluated dataset)")
-    p.add_argument("--objective", default="magnet", choices=EVAL_OBJECTIVES,
-                   help="magnet: nearest cluster over a K-means index (kNC); triplet, "
-                        "nca: soft kNN. A checkpoint holds no NCM centroids or softmax "
-                        "head, so ncm, ncmc and softmax cannot be evaluated from one")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--l", type=int, default=128)
-    p.add_argument("--sigma2", type=float, default=None,
-                   help="kernel variance (default: index variance)")
 
     p = sub.add_parser("bench", help="compare objectives on a shared benchmark")
     p.add_argument("configs", nargs="+")
@@ -91,55 +77,30 @@ def _dispatch(args) -> int:
         # train() has saved training_state.json, the resume point at the last
         # refresh boundary, and checkpoint.bin, the final model, to outdir
         write_metrics_csv(result.metrics, outdir / "metrics.csv")
-        report = build_report(config, result)
-        (outdir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
-        print(f"final error: {report['error_rate']:.4f} ({report['metric']})")
-        return 0
+        return _write_report(config, result, outdir)
 
     if args.command == "eval":
-        model = EmbeddingModel.load(args.checkpoint)
-        test = load_dataset(args.dataset)
-        refs = load_dataset(args.train_dataset) if args.train_dataset else test
-        outdir = Path(args.outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        reps = model.embed(refs.inputs)
-        if args.objective == "magnet":
-            ctx = knc_context(reps, refs.labels, args.k, 0, args.sigma2, l=args.l)
-            metric = "knc"
-        else:
-            ctx = soft_knn_context(reps, refs.labels, args.sigma2, l=args.l)
-            metric = "soft_knn"
-        preds = classify_batch(ctx, model.embed(test.inputs))
-        report = {
-            "metric": metric,
-            "error_rate": error_rate(preds, test.labels),
-            "sigma2": ctx.sigma2,
-        }
-        (outdir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
-        print(f"error: {report['error_rate']:.4f} ({metric})")
-        return 0
+        # the run's last state, resumed without saving, reports on the dataset
+        # as the run reported on its test split
+        config = load_run_config(args.run_dir)
+        train_data, _ = resolve_datasets(config)
+        result = train(config, train_data, load_dataset(args.dataset), resume_from=args.run_dir)
+        return _write_report(config, result, Path(args.outdir))
 
     if args.command == "bench":
         if not math.isfinite(args.target):
             raise ConfigurationError(f"--target must be finite, got {args.target}")
         configs = [parse_config(c) for c in args.configs]
         rows = bench(configs, args.target)
-        table = []
         print(f"{'objective':<10} {'iters_to_target':>16} {'asymptotic':>11} {'ratio':>7}")
         for row in rows:
             reached = "never" if row.iterations_to_target is None else str(row.iterations_to_target)
             ratio = "n/a" if row.ratio_to_first is None else f"{row.ratio_to_first:.2f}"
             print(f"{row.objective:<10} {reached:>16} {row.asymptotic_error:>11.4f} {ratio:>7}")
-            table.append({
-                "objective": row.objective,
-                "iterations_to_target": row.iterations_to_target,
-                "asymptotic_error": row.asymptotic_error,
-                "ratio_to_first": row.ratio_to_first,
-            })
         if args.outdir:
             outdir = Path(args.outdir)
             outdir.mkdir(parents=True, exist_ok=True)
-            (outdir / "bench.json").write_text(json.dumps(table, indent=2) + "\n")
+            (outdir / "bench.json").write_text(json.dumps(list(map(vars, rows)), indent=2) + "\n")
         return 0
 
     if args.command == "grad-check":
@@ -164,6 +125,14 @@ def _dispatch(args) -> int:
         return 1 if failed else 0
 
     raise ConfigurationError(f"unknown command {args.command!r}")
+
+
+def _write_report(config, result, outdir) -> int:
+    outdir.mkdir(parents=True, exist_ok=True)
+    report = build_report(config, result)
+    (outdir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
+    print(f"final error: {report['error_rate']:.4f} ({report['metric']})")
+    return 0
 
 
 if __name__ == "__main__":

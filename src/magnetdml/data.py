@@ -165,11 +165,12 @@ def generate_mixture(spec: MixtureSpec, seed: int) -> Dataset:
 def load_dataset(path, attributes_path=None) -> Dataset:
     """Read a dataset CSV (header ``label,f0..f{d-1}``), densely remapping labels.
 
-    Class indices are remapped to [0, C) in order of first appearance. An
-    optional companion CSV with header ``a0..a{A-1}`` supplies row-aligned
-    binary attributes. Each row is checked as it is read (column count, int
-    label, float features, finite values), so the first bad line is named,
-    and its features go straight into one float64 buffer.
+    Class indices are remapped to [0, C) in ascending order of the raw
+    labels, so CSVs of the same classes number them alike. An optional
+    companion CSV with header ``a0..a{A-1}`` supplies row-aligned binary
+    attributes. Each row is checked as it is read (column count, int label,
+    float features, finite values), so the first bad line is named, and its
+    features go straight into one float64 buffer.
     """
     rows_in = _csv_rows(path)
     _, header = next(rows_in, (1, None))
@@ -178,8 +179,7 @@ def load_dataset(path, attributes_path=None) -> Dataset:
     if not header or header[0] != "label":
         raise ParseError(f"{path}: line 1: first column must be 'label'")
     dim = len(header) - 1
-    remap = {}  # raw label (any Python int) -> dense class index
-    labels, values = [], array("d")
+    labels, values = [], array("d")  # raw labels, any Python int, until remapped
     for lineno, row in rows_in:
         if not row:
             continue
@@ -195,7 +195,7 @@ def load_dataset(path, attributes_path=None) -> Dataset:
             raise ParseError(f"{path}: line {lineno}: {exc}") from exc
         if not all(map(math.isfinite, values[start:])):
             raise ParseError(f"{path}: line {lineno}: non-finite feature value")
-        labels.append(remap.setdefault(raw, len(remap)))
+        labels.append(raw)
     if not labels:
         raise ParseError(f"{path}: no data rows")
 
@@ -203,7 +203,9 @@ def load_dataset(path, attributes_path=None) -> Dataset:
     if attributes_path is not None:
         attributes = _load_attributes(attributes_path, expected_rows=len(labels))
     inputs = np.array(values, dtype=np.float64).reshape(len(labels), dim)
-    return Dataset(inputs=inputs, labels=np.asarray(labels), attributes=attributes)
+    dense = {raw: c for c, raw in enumerate(sorted(set(labels)))}
+    return Dataset(inputs=inputs, labels=np.array([dense[raw] for raw in labels]),
+                   attributes=attributes)
 
 
 def _load_attributes(path, expected_rows: int) -> np.ndarray:

@@ -22,16 +22,19 @@ Resume contract: any state the loop writes resumes byte for byte, under the
 config it was saved with; only ``iterations`` may differ, and not fall below
 the saved iteration. A state is the one file ``training_state.json``, and it
 is always at a refresh boundary; the ``checkpoint.bin`` written after it is
-the current model in the state's blob form, for ``eval``; resume never reads
-it. A state saved at iteration t holds the config, the model and velocities,
-the rng before any draw of iteration t and the t metrics rows. The final save
-of a run that ends off a boundary writes the state of the last boundary, so
-its resume re-runs at most ``refresh_interval - 1`` iterations.
-``train(resume_from=dir)`` restores it in place.
+the current model in the state's blob form, an export for
+``EmbeddingModel.load``; resume never reads it. A state saved at iteration t
+holds the config, the model and velocities, the rng before any draw of
+iteration t and the t metrics rows. The final save of a run that ends off a
+boundary writes the state of the last boundary, so its resume re-runs at most
+``refresh_interval - 1`` iterations. ``train(resume_from=dir)`` restores it
+in place. ``eval`` resumes a run's last state the same way, saving nothing,
+with its dataset in place of the test split.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
@@ -152,6 +155,9 @@ class _Step:
 
     def __init__(self, config, train_data, test_data, model=None):
         self.config, self.train_data, self.test_data = config, train_data, test_data
+        if test_data.dim != train_data.dim:
+            raise ConfigurationError(f"the test set has dimension {test_data.dim}, "
+                                     f"the training set has {train_data.dim}")
         self.model = model or EmbeddingModel(config.layer_dims, seed=config.seed)
         # the report's confusion is over every class either split holds
         self.class_count = max(train_data.class_count, test_data.class_count)
@@ -484,14 +490,40 @@ def _save_training_state(outdir, step, rng, iteration, state):
     """Write ``state``, the :func:`_dump_state` of the newest refresh boundary
     at or below ``iteration``, to ``training_state.json``, the resume point,
     then the model at ``iteration`` to ``checkpoint.bin``, an export for
-    ``eval``, each through a temporary file and ``os.replace``. A kill between
-    the writes leaves a whole state beside an older export."""
+    ``EmbeddingModel.load``, each through a temporary file and ``os.replace``.
+    A kill between the writes leaves a whole state beside an older export."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for name, data in (("training_state.json", state), ("checkpoint.bin", step.model.to_bytes())):
         tmp = outdir / (name + ".tmp")
         tmp.write_bytes(data)
         os.replace(tmp, outdir / name)
+
+
+@contextlib.contextmanager
+def _reading_state(outdir):
+    """Yield the JSON of ``outdir/training_state.json``; a malformed file or
+    value is a ``ParseError`` naming ``outdir``, in the with-block too."""
+    outdir = Path(outdir)
+    try:
+        yield json.loads((outdir / "training_state.json").read_text())
+    except ConfigurationError:
+        raise
+    except (LookupError, TypeError, ValueError, OverflowError, RecursionError,
+            ContractError) as exc:
+        raise ParseError(f"{outdir}: bad training state: {exc}") from exc
+
+
+def load_run_config(run_dir) -> ExperimentConfig:
+    """The config of the state in ``run_dir``, which must be the run's last
+    refresh boundary: resuming it re-runs fewer than ``refresh_interval``."""
+    with _reading_state(run_dir) as raw:
+        config, iteration = ExperimentConfig(**raw["config"]), raw["iteration"]
+        if iteration + config.refresh_interval <= config.iterations:
+            raise ConfigurationError(
+                f"{run_dir}: the saved state is at iteration {iteration} of "
+                f"{config.iterations}; finish the run with `train --resume` first")
+    return config
 
 
 def _load_training_state(outdir, step, rng) -> Tuple[int, List[MetricsRow]]:
@@ -505,9 +537,8 @@ def _load_training_state(outdir, step, rng) -> Tuple[int, List[MetricsRow]]:
     that is neither NaN nor in [0, 1] or an rng state that is not a whole
     state of the run's generator is a ``ParseError``; a state the config
     cannot continue, a ``ConfigurationError`` naming both values."""
-    outdir, config, model = Path(outdir), step.config, step.model
-    try:
-        raw = json.loads((outdir / "training_state.json").read_text())
+    config, model = step.config, step.model
+    with _reading_state(outdir) as raw:
         iteration = raw["iteration"]
         if type(iteration) is not int or iteration < 0:
             raise ValueError(f"'iteration' = {iteration!r} is not an int at or above 0")
@@ -544,11 +575,6 @@ def _load_training_state(outdir, step, rng) -> Tuple[int, List[MetricsRow]]:
         metrics = [MetricsRow(int(it), float(loss), None if np.isnan(err) else float(err))
                    for it, loss, err in rows]
         return iteration, metrics
-    except ConfigurationError:
-        raise
-    except (LookupError, TypeError, ValueError, OverflowError, RecursionError,
-            ContractError) as exc:
-        raise ParseError(f"{outdir}: bad training state: {exc}") from exc
 
 
 def _check_rng_state(saved, name):

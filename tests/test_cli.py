@@ -5,13 +5,15 @@ import json
 import numpy as np
 import pytest
 
+from magnetdml import Dataset, save_dataset, training
 from magnetdml.cli import main
 from magnetdml.config import parse_config
+from magnetdml.errors import ContractError
 from magnetdml.evaluate import attribute_precision
 from magnetdml.model import EmbeddingModel
 from magnetdml.training import resolve_datasets
 
-from test_model import old_binary_checkpoint
+from test_metrics_pin import COMMON, CONFIGS, pin_data
 
 
 SPEC = {
@@ -319,106 +321,137 @@ class TestTrain:
             f"error: {attrs}: line 2: attribute value 300 is not 0 or 1\n")
 
 
+# class c of the pins' mixture is written to the training CSV as RAW_LABELS[c],
+# so its labels first appear in an order other than ascending
+RAW_LABELS = [30, 10, 40, 20]
+
+
+def train_pin_run(tmp_path, objective, iterations):
+    """Train the pinned config of ``objective`` through the CLI on a CSV of
+    the pins' mixture; return the config file and the run directory."""
+    train_data, test_data = pin_data()
+    data = tmp_path / "pins.csv"
+    with data.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["label", "f0", "f1", "f2", "f3"])
+        for ds in (train_data, test_data):
+            writer.writerows([RAW_LABELS[y]] + list(map(repr, x.tolist()))
+                             for y, x in zip(ds.labels, ds.inputs))
+    values = {**COMMON, **CONFIGS[objective], "iterations": iterations, "dataset": data}
+    config = tmp_path / f"{objective}.cfg"
+    config.write_text("".join(
+        f"{k} = {','.join(map(str, v)) if isinstance(v, list) else v}\n"
+        for k, v in values.items()))
+    run = tmp_path / "run"
+    assert main(["train", str(config), str(run)]) == 0
+    return config, run
+
+
 class TestEval:
-    def test_eval_checkpoint(self, tmp_path):
-        config = write_config(tmp_path)
-        outdir = tmp_path / "out"
-        main(["train", str(config), str(outdir)])
-        data = tmp_path / "data.csv"
-        main(["gen-data", str(write_spec(tmp_path)), str(data), "--seed", "4"])
-        evaldir = tmp_path / "eval"
-        rc = main([
-            "eval", str(outdir / "checkpoint.bin"), str(data), str(evaldir),
-            "--objective", "magnet", "--k", "2",
-        ])
-        assert rc == 0
-        report = json.loads((evaldir / "report.json").read_text())
-        assert report["metric"] == "knc"
-        assert report["error_rate"] < 0.2
-        assert report["sigma2"] > 0
-
-    def test_eval_checkpoint_soft_knn(self, tmp_path):
-        config = write_config(tmp_path)
-        outdir = tmp_path / "out"
-        main(["train", str(config), str(outdir)])
-        data = tmp_path / "data.csv"
-        main(["gen-data", str(write_spec(tmp_path)), str(data), "--seed", "4"])
-        evaldir = tmp_path / "eval"
-        rc = main(["eval", str(outdir / "checkpoint.bin"), str(data), str(evaldir),
-                   "--objective", "triplet"])
-        assert rc == 0
-        report = json.loads((evaldir / "report.json").read_text())
-        assert report["metric"] == "soft_knn"
-        assert report["error_rate"] < 0.2
-        assert report["sigma2"] > 0
-
-    @pytest.mark.parametrize("objective", ["magent", "ncm", "ncmc", "softmax"])
-    def test_unknown_objective_rejected(self, tmp_path, capsys, objective):
-        # magent used to evaluate soft kNN and exit 0; ncm, ncmc and softmax
-        # did too, since a checkpoint holds no centroids and no softmax head
-        config = write_config(tmp_path, iterations=20)
-        outdir = tmp_path / "out"
-        main(["train", str(config), str(outdir)])
-        data = tmp_path / "data.csv"
-        main(["gen-data", str(write_spec(tmp_path)), str(data)])
-        capsys.readouterr()
-        with pytest.raises(SystemExit) as exc:
-            main(["eval", str(outdir / "checkpoint.bin"), str(data), str(tmp_path / "eval"),
-                  "--objective", objective])
-        assert exc.value.code == 2
-        assert f"invalid choice: '{objective}'" in capsys.readouterr().err
-        assert not (tmp_path / "eval").exists()
-
-    @pytest.mark.parametrize("cut", [10, 20, 100])
-    def test_truncated_checkpoint_errors(self, tmp_path, capsys, cut):
-        config = write_config(tmp_path, iterations=20)
-        outdir = tmp_path / "out"
-        main(["train", str(config), str(outdir)])
-        ckpt = outdir / "checkpoint.bin"
-        ckpt.write_bytes(ckpt.read_bytes()[:cut])
-        data = tmp_path / "data.csv"
-        main(["gen-data", str(write_spec(tmp_path)), str(data)])
-        capsys.readouterr()
-        assert main(["eval", str(ckpt), str(data), str(tmp_path / "eval")]) == 1
-        assert capsys.readouterr().err.startswith("error:")
-
-    def test_old_binary_checkpoint_errors(self, tmp_path, capsys):
-        config = write_config(tmp_path, iterations=20)
-        outdir = tmp_path / "out"
-        main(["train", str(config), str(outdir)])
-        ckpt = outdir / "checkpoint.bin"
-        ckpt.write_bytes(old_binary_checkpoint(EmbeddingModel.load(ckpt)))
-        data = tmp_path / "data.csv"
-        main(["gen-data", str(write_spec(tmp_path)), str(data)])
-        capsys.readouterr()
-        assert main(["eval", str(ckpt), str(data), str(tmp_path / "eval")]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {ckpt}: not a model checkpoint")
-        assert not (tmp_path / "eval").exists()
+    # 120 iterations end on a refresh boundary; 110 end off one, with the
+    # state at 90, so that eval re-runs the last 20
+    @pytest.mark.parametrize("iterations", [120, 110])
+    @pytest.mark.parametrize("objective", sorted(CONFIGS))
+    def test_reproduces_the_runs_report(self, tmp_path, objective, iterations):
+        config, run = train_pin_run(tmp_path, objective, iterations)
+        _, test = resolve_datasets(parse_config(config))
+        shuffled = tmp_path / "test.csv"
+        save_dataset(Dataset(test.inputs[::-1], test.labels[::-1]), shuffled)
+        assert main(["eval", str(run), str(shuffled), str(tmp_path / "eval")]) == 0
+        assert (tmp_path / "eval" / "report.json").read_bytes() == (run / "report.json").read_bytes()
 
     @pytest.mark.parametrize("objective", ["magnet", "triplet"])
-    def test_zero_sigma2_rejected(self, tmp_path, capsys, objective):
-        config = write_config(tmp_path, iterations=20)
+    def test_eval_on_fresh_data(self, tmp_path, objective):
+        config = write_config(tmp_path, objective=objective)
         outdir = tmp_path / "out"
-        main(["train", str(config), str(outdir)])
+        assert main(["train", str(config), str(outdir)]) == 0
         data = tmp_path / "data.csv"
-        main(["gen-data", str(write_spec(tmp_path)), str(data)])
-        capsys.readouterr()
-        rc = main(["eval", str(outdir / "checkpoint.bin"), str(data), str(tmp_path / "eval"),
-                   "--objective", objective, "--sigma2", "0"])
-        assert rc == 1
-        assert "sigma2 must be positive" in capsys.readouterr().err
+        assert main(["gen-data", str(write_spec(tmp_path)), str(data), "--seed", "4"]) == 0
+        assert main(["eval", str(outdir), str(data), str(tmp_path / "eval")]) == 0
+        report = json.loads((tmp_path / "eval" / "report.json").read_text())
+        assert report["metric"] == {"magnet": "knc", "triplet": "soft_knn"}[objective]
+        assert report["error_rate"] < 0.2
+        assert sum(map(sum, report["confusion"])) == 160
 
-    def test_infinite_sigma2_rejected(self, tmp_path, capsys):
+    def test_leaves_the_run_directory_unchanged(self, tmp_path):
+        config = write_config(tmp_path, iterations=50)  # state at 40: eval re-runs 10
+        outdir = tmp_path / "out"
+        assert main(["train", str(config), str(outdir)]) == 0
+        before = {p.name: p.read_bytes() for p in outdir.iterdir()}
+        data = tmp_path / "data.csv"
+        assert main(["gen-data", str(write_spec(tmp_path)), str(data)]) == 0
+        assert main(["eval", str(outdir), str(data), str(tmp_path / "eval")]) == 0
+        assert {p.name: p.read_bytes() for p in outdir.iterdir()} == before
+
+    def test_state_before_the_last_boundary_refused(self, tmp_path, capsys, monkeypatch):
+        # a run stopped at 45 of 60 leaves the state of 40; eval would re-run 20
+        config = write_config(tmp_path)
+        outdir = tmp_path / "out"
+        step = training._Step.step
+
+        def stop_at_45(self, iteration, rng):
+            if iteration == 45:
+                raise ContractError("stopped")
+            return step(self, iteration, rng)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(training._Step, "step", stop_at_45)
+            assert main(["train", str(config), str(outdir)]) == 1
+        data = tmp_path / "data.csv"
+        assert main(["gen-data", str(write_spec(tmp_path)), str(data)]) == 0
+        capsys.readouterr()
+        assert main(["eval", str(outdir), str(data), str(tmp_path / "eval")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {outdir}: the saved state is at iteration 40 of 60; "
+            "finish the run with `train --resume` first\n")
+        assert not (tmp_path / "eval").exists()
+        # finishing the run in place lets eval read it
+        assert main(["train", str(config), str(outdir), "--resume", str(outdir)]) == 0
+        assert main(["eval", str(outdir), str(data), str(tmp_path / "eval")]) == 0
+
+    @pytest.mark.parametrize("objective", sorted(CONFIGS))
+    def test_dataset_of_another_width_errors(self, tmp_path, capsys, objective):
+        # ncm and ncmc used to end in numpy's raw matmul ValueError
+        layer_dims = "2,8" if objective in ("ncm", "ncmc") else "2,16,8"
+        config = write_config(tmp_path, objective=objective, layer_dims=layer_dims,
+                              iterations=20, batch_size=8)
+        outdir = tmp_path / "out"
+        assert main(["train", str(config), str(outdir)]) == 0
+        data = tmp_path / "data.csv"
+        data.write_text("label,f0\n0,1.0\n1,2.0\n")
+        capsys.readouterr()
+        assert main(["eval", str(outdir), str(data), str(tmp_path / "eval")]) == 1
+        assert capsys.readouterr().err == (
+            "error: the test set has dimension 1, the training set has 2\n")
+        assert not (tmp_path / "eval").exists()
+
+    # was a truncated checkpoint.bin, which eval no longer reads
+    @pytest.mark.parametrize("cut", [10, 40, None])
+    def test_truncated_or_missing_state_errors(self, tmp_path, capsys, cut):
         config = write_config(tmp_path, iterations=20)
         outdir = tmp_path / "out"
-        main(["train", str(config), str(outdir)])
+        assert main(["train", str(config), str(outdir)]) == 0
+        state = outdir / "training_state.json"
+        if cut is None:
+            state.unlink()
+        else:
+            state.write_bytes(state.read_bytes()[:cut])
         data = tmp_path / "data.csv"
-        main(["gen-data", str(write_spec(tmp_path)), str(data)])
+        assert main(["gen-data", str(write_spec(tmp_path)), str(data)]) == 0
         capsys.readouterr()
-        rc = main(["eval", str(outdir / "checkpoint.bin"), str(data), str(tmp_path / "eval"),
-                   "--sigma2", "inf"])
-        assert rc == 1
-        assert capsys.readouterr().err.startswith("error: sigma2 must be positive and finite")
+        assert main(["eval", str(outdir), str(data), str(tmp_path / "eval")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "training_state.json" in err or "bad training state" in err
+        assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("option", [["--objective", "magnet"], ["--k", "2"],
+                                        ["--sigma2", "1"], ["--train-dataset", "d.csv"]])
+    def test_takes_no_options(self, tmp_path, capsys, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "run", "data.csv", str(tmp_path / "eval"), *option])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestBench:

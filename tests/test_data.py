@@ -109,6 +109,13 @@ class TestLoadDataset:
         assert ds.labels.tolist() == [0, 1, 0]
         assert ds.class_count == 2
 
+    def test_remap_follows_ascending_raw_label(self, tmp_path):
+        # classes used to be numbered by first appearance, so a CSV of the
+        # same classes in another row order numbered them differently
+        p = tmp_path / "d.csv"
+        p.write_text("label,f0\n9,1.0\n5,2.0\n9,3.0\n")
+        assert load_dataset(p).labels.tolist() == [1, 0, 1]
+
     def test_label_only_file_rejected(self, tmp_path):
         # a header of 'label' alone used to load as a (3, 0) dataset
         p = tmp_path / "d.csv"

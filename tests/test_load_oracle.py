@@ -52,12 +52,8 @@ def reference_load_dataset(path, attributes_path=None) -> Dataset:
     if not rows:
         raise ParseError(f"{path}: no data rows")
 
-    remap = {}
-    labels = []
-    for raw in raw_labels:
-        if raw not in remap:
-            remap[raw] = len(remap)
-        labels.append(remap[raw])
+    remap = {raw: c for c, raw in enumerate(sorted(set(raw_labels)))}
+    labels = [remap[raw] for raw in raw_labels]
 
     attributes = None
     if attributes_path is not None:

@@ -1,13 +1,14 @@
 """The training step's abort on a non-finite loss or gradient, before it
-writes the model, and the batch it names; the state dumps the loop takes."""
+writes the model, and the batch it names; the state dumps the loop takes;
+the refusal of a test set of another dimension."""
 
 import json
 
 import numpy as np
 import pytest
 
-from magnetdml import ExperimentConfig, training
-from magnetdml.errors import ContractError
+from magnetdml import Dataset, ExperimentConfig, training
+from magnetdml.errors import ConfigurationError, ContractError
 from magnetdml.training import _MagnetStep, train
 
 from test_metrics_pin import COMMON, CONFIGS, pin_data
@@ -105,3 +106,14 @@ def test_state_is_dumped_once_per_written_boundary(iterations, dumps, tmp_path, 
     assert len(calls) == dumps
     written = json.loads((tmp_path / "training_state.json").read_text())
     assert written["iteration"] == calls[-1]
+
+
+@pytest.mark.parametrize("objective", sorted(CONFIGS))
+def test_test_set_of_another_dimension_is_refused(objective):
+    # ncm and ncmc used to raise numpy's raw matmul ValueError at the first eval
+    config = ExperimentConfig(**{**COMMON, **CONFIGS[objective]})
+    train_data, test_data = pin_data()
+    narrow = Dataset(test_data.inputs[:, :3], test_data.labels)
+    with pytest.raises(ConfigurationError,
+                       match="^the test set has dimension 3, the training set has 4$"):
+        train(config, train_data, narrow)
