@@ -84,7 +84,12 @@ def _dispatch(args) -> int:
         # as the run reported on its test split
         config = load_run_config(args.run_dir)
         train_data, _ = resolve_datasets(config)
-        result = train(config, train_data, load_dataset(args.dataset), resume_from=args.run_dir)
+        dataset = load_dataset(args.dataset)
+        # labels are numbered densely per file: another class count shifts them
+        if dataset.class_count != train_data.class_count:
+            raise ConfigurationError(f"the test set has {dataset.class_count} classes, "
+                                     f"the training set has {train_data.class_count}")
+        result = train(config, train_data, dataset, resume_from=args.run_dir)
         return _write_report(config, result, Path(args.outdir))
 
     if args.command == "bench":
@@ -107,13 +112,11 @@ def _dispatch(args) -> int:
         if not (math.isfinite(args.tolerance) and args.tolerance > 0):
             raise ConfigurationError(
                 f"--tolerance must be positive and finite, got {args.tolerance}")
-        layer_dims = (10, 16, 8)
-        seed = 0
+        overrides = {}  # without a config, check_all_objectives' own layer_dims and seed
         if args.config is not None:
             config = parse_config(args.config)
-            layer_dims = tuple(config.layer_dims)
-            seed = config.seed
-        reports = check_all_objectives(layer_dims, tolerance=args.tolerance, seed=seed)
+            overrides = {"layer_dims": tuple(config.layer_dims), "seed": config.seed}
+        reports = check_all_objectives(tolerance=args.tolerance, **overrides)
         failed = False
         for name, report in sorted(reports.items()):
             status = "pass" if report.passed else "FAIL"

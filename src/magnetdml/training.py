@@ -12,11 +12,11 @@ triplet miner); an iteration is ``sample(rng)``, every rng draw, then
 model and the batch and the one that ``grad-check`` checks, then, if the loss
 and the model's gradients are finite, the SGD step and
 ``after(batch, out, iteration)``;
-``predict(sigma2, iteration)`` classifies the test split for the eval rows and
-the report; ``sigma2()`` is the report variance; ``state()`` adds its own keys
-to ``training_state.json`` and ``resume(raw)`` copies them into its own
-arrays. The report classifies as an eval at the last iteration does, so such
-an eval serves it.
+``predict(iteration)`` classifies the test split for the eval rows and the
+report; ``sigma2()`` is the report variance; ``state()`` adds its own keys to
+``training_state.json`` and ``resume(raw)`` copies them into its own arrays.
+:func:`train` returns the predictions of an eval at the run's last iteration,
+made after the loop if the loop did not make them, and the report counts them.
 
 Resume contract: any state the loop writes resumes byte for byte, under the
 config it was saved with; only ``iterations`` may differ, and not fall below
@@ -69,12 +69,8 @@ class TrainResult:
     model: EmbeddingModel
     metrics: List[MetricsRow]
     sigma2: float
-    train_data: Dataset
-    test_data: Dataset
-    step: "_Step"  # the objective that classifies for build_report
-    # (model version, sigma2, test predictions) of an eval at the last
-    # iteration that build_report may reuse while both still match
-    final_eval: Optional[tuple] = None
+    step: "_Step"  # the objective, which holds the train and test splits
+    predictions: np.ndarray  # the test split's, by an eval at the last iteration
 
 
 def resolve_datasets(config: ExperimentConfig) -> Tuple[Dataset, Dataset]:
@@ -109,7 +105,7 @@ def train(
         train_data, test_data = resolve_datasets(config)
     step = _STEPS[config.objective](config, train_data, test_data)
     rng = np.random.default_rng(config.seed)
-    start, metrics, boundary, final_preds = 0, [], None, None
+    start, metrics, boundary, preds = 0, [], None, None
     if resume_from is not None:
         start, metrics = _load_training_state(resume_from, step, rng)
 
@@ -126,19 +122,17 @@ def train(
         loss, batch = step.step(it, rng)
         row = MetricsRow(it, loss)
         if (it + 1) % config.eval_interval == 0:
-            preds = step.predict(None, it)
+            preds = step.predict(it)
             row.val_error = error_rate(preds, test_data.labels)
-            if it + 1 == config.iterations:
-                final_preds = preds
         metrics.append(row)
 
     if checkpoint_dir is not None:
         if config.iterations % config.refresh_interval == 0:
             boundary = _dump_state(step, rng, config.iterations, metrics)
         _save_training_state(checkpoint_dir, step, rng, config.iterations, boundary)
-    sigma2 = step.sigma2()
-    final_eval = None if final_preds is None else (step.model.version, sigma2, final_preds)
-    return TrainResult(step.model, metrics, sigma2, train_data, test_data, step, final_eval)
+    if preds is None or config.iterations % config.eval_interval:
+        preds = step.predict(config.iterations - 1)  # the loop made no eval at the end
+    return TrainResult(step.model, metrics, step.sigma2(), step, preds)
 
 
 class _Step:
@@ -182,13 +176,13 @@ class _Step:
     def named(self, batch) -> dict:
         return batch
 
-    def predict(self, sigma2, iteration) -> np.ndarray:
-        ctx = self.context(sigma2, iteration)
+    def predict(self, iteration) -> np.ndarray:
+        ctx = self.context(iteration)
         return classify_batch(ctx, self.model.embed(self.test_data.inputs))
 
-    def context(self, sigma2, iteration) -> EvalContext:
+    def context(self, iteration) -> EvalContext:
         return soft_knn_context(self.model.embed(self.train_data.inputs), self.train_data.labels,
-                                sigma2, l=self.config.eval_l)
+                                l=self.config.eval_l)
 
     def sigma2(self) -> float:
         return reference_sigma2(self.model.embed(self.train_data.inputs), self.train_data.labels)
@@ -231,16 +225,16 @@ class _MagnetStep(_Step):
     def named(self, nb):
         return {"examples": nb.example_indices, "clusters": nb.clusters}
 
-    def context(self, sigma2, iteration) -> EvalContext:
+    def context(self, iteration) -> EvalContext:
         # a seed of its own: evaluation must not consume the training rng stream
         seed = (self.config.seed * 1_000_003 + iteration) % (2**31)
         return knc_context(self.model.embed(self.train_data.inputs), self.train_data.labels,
-                           self.config.k, seed, sigma2 or self.sigma.value, l=self.config.eval_l)
+                           self.config.k, seed, self.sigma.value, l=self.config.eval_l)
 
     def sigma2(self) -> float:
-        # before any minibatch: the variance of the index the report builds
+        # before any minibatch: the variance of the last eval's kNC index
         if self.sigma.value is None:
-            return self.context(None, self.config.iterations - 1).sigma2
+            return self.context(self.config.iterations - 1).sigma2
         return self.sigma.value
 
     def state(self) -> dict:
@@ -324,7 +318,7 @@ class _SoftmaxStep(_Step):
     def after(self, batch, head_grads, iteration):
         self.head.sgd_step(*head_grads, self.config, iteration)
 
-    def predict(self, sigma2, iteration) -> np.ndarray:
+    def predict(self, iteration) -> np.ndarray:
         return self.head.logits(self.model.embed(self.test_data.inputs)).argmax(axis=1)
 
     def state(self) -> dict:
@@ -356,7 +350,7 @@ class _NcmStep(_Step):
                                   self.train_data.inputs, self.train_data.labels)
         return loss, ([grad_w], [np.zeros_like(model.biases[0])]), [], None
 
-    def predict(self, sigma2, iteration) -> np.ndarray:
+    def predict(self, iteration) -> np.ndarray:
         return L.ncm_classify(self.model.weights[0], self.centroids, self.test_data.inputs)
 
 
@@ -389,17 +383,11 @@ _STEPS = {
 # -- reports ----------------------------------------------------------------
 
 def build_report(config: ExperimentConfig, result: TrainResult) -> dict:
-    """Evaluation report: error rate, confusion counts, optional extras. The
-    test split is classified as an eval at the last iteration classifies it,
-    and the predictions of such an eval are reused while the model and
-    ``result.sigma2`` are those they were made with."""
-    test_data = result.test_data
-    reused = result.final_eval
-    if reused is not None and reused[:2] == (result.step.model.version, result.sigma2):
-        preds = reused[2]
-    else:
-        preds = result.step.predict(result.sigma2, config.iterations - 1)
-    counts, error = confusion(preds, test_data.labels, result.step.class_count)
+    """Evaluation report: error rate, confusion counts, optional extras. It
+    counts ``result.predictions``, the test split's by an eval at the run's
+    last iteration, and classifies nothing."""
+    test_data = result.step.test_data
+    counts, error = confusion(result.predictions, test_data.labels, result.step.class_count)
     report = {
         "objective": config.objective,
         "metric": result.step.metric,

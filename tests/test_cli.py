@@ -425,6 +425,19 @@ class TestEval:
             "error: the test set has dimension 1, the training set has 2\n")
         assert not (tmp_path / "eval").exists()
 
+    def test_dataset_of_another_class_count_errors(self, tmp_path, capsys):
+        # without raw label 20 the file numbers 30 and 40 as classes 1 and 2,
+        # not 2 and 3: every point of them was counted as misclassified
+        _, run = train_pin_run(tmp_path, "nca", 120)
+        rows = (tmp_path / "pins.csv").read_text().splitlines(keepends=True)
+        data = tmp_path / "data.csv"
+        data.write_text("".join(r for r in rows if not r.startswith("20,")))
+        capsys.readouterr()
+        assert main(["eval", str(run), str(data), str(tmp_path / "eval")]) == 1
+        assert capsys.readouterr().err == (
+            "error: the test set has 3 classes, the training set has 4\n")
+        assert not (tmp_path / "eval").exists()
+
     # was a truncated checkpoint.bin, which eval no longer reads
     @pytest.mark.parametrize("cut", [10, 40, None])
     def test_truncated_or_missing_state_errors(self, tmp_path, capsys, cut):

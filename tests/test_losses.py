@@ -354,8 +354,8 @@ class TestNcm:
         new_w = rng.standard_normal((2, 3))
         rebound.model.weights[0] = new_w.copy()
         written.model.weights[0][...] = new_w
-        assert (written.predict(None, 0) != fresh.predict(None, 0)).any()
-        np.testing.assert_array_equal(rebound.predict(None, 0), written.predict(None, 0))
+        assert (written.predict(0) != fresh.predict(0)).any()
+        np.testing.assert_array_equal(rebound.predict(0), written.predict(0))
         batch = rebound.sample(None)
         loss, (w_grads, b_grads) = rebound.objective(rebound.model, batch)[:2]
         want_loss, (want_w, want_b) = written.objective(written.model, batch)[:2]

@@ -1,12 +1,11 @@
-"""``build_report`` reuses the predictions of an eval at the last iteration.
+"""``build_report`` counts the predictions that ``train()`` returns.
 
-The report classifies the test split as an eval at the last iteration does,
-magnet's kNC index included, so the reuse must not change a byte of the
-report: for every objective the report equals one built from freshly
-recomputed predictions, and its error rate is the last ``val_error``. Each
-case where the last eval cannot serve (no eval at the last iteration, a
-resume that starts at the end, a model stepped or a variance changed after
-``train()``) classifies again, as an eval at the last iteration would.
+``train()`` returns the test split's predictions by an eval at the run's last
+iteration: the loop's own when the last iteration is an eval, otherwise those
+of one ``predict`` after the loop (no eval at the last iteration, a resume
+that starts at the end). The report classifies nothing, and it must not
+change a byte against one built from freshly recomputed predictions, magnet's
+kNC index included; its error rate is the last ``val_error``.
 
 The confusion counts and the error rate come from one ``bincount`` in
 ``evaluate.confusion``; they equal the ``np.add.at`` counts and
@@ -37,27 +36,22 @@ def pin_config(objective, **overrides):
 
 
 def fresh_report(config, result):
-    return build_report(config, dataclasses.replace(result, final_eval=None))
+    predictions = result.step.predict(config.iterations - 1)
+    return build_report(config, dataclasses.replace(result, predictions=predictions))
 
 
-def counted_predict(monkeypatch, result):
-    """Count the step's ``predict`` calls from here on."""
-    calls = []
-    predict = result.step.predict
+def refuse_to_classify(monkeypatch, result):
+    def refuse(*args):
+        raise AssertionError("build_report classified the test split again")
 
-    def counting(*args):
-        calls.append(args)
-        return predict(*args)
-
-    monkeypatch.setattr(result.step, "predict", counting)
-    return calls
+    monkeypatch.setattr(magnetdml.training, "classify_batch", refuse)
+    monkeypatch.setattr(result.step, "predict", refuse)
 
 
 @pytest.mark.parametrize("objective", sorted(CONFIGS))
 def test_report_equals_recomputed(objective):
     config = pin_config(objective)
     result = train(config, *pin_data())
-    assert result.final_eval is not None
     report = build_report(config, result)
     assert report["error_rate"] == result.metrics[-1].val_error  # an eval row
     assert json.dumps(report) == json.dumps(fresh_report(config, result))
@@ -68,62 +62,56 @@ def test_report_does_not_classify_again(objective, monkeypatch):
     config = pin_config(objective)
     result = train(config, *pin_data())
     want = json.dumps(build_report(config, result))
-
-    def refuse(*args):
-        raise AssertionError("build_report classified the test split again")
-
-    monkeypatch.setattr(magnetdml.training, "classify_batch", refuse)
+    refuse_to_classify(monkeypatch, result)
     assert json.dumps(build_report(config, result)) == want
 
 
 def off_eval(config, tmp_path):
     # the last eval is at iteration 99 of 110
     config = dataclasses.replace(config, iterations=110)
-    return config, train(config, *pin_data())
+    return config, {}
 
 
 def resumed_at_end(config, tmp_path):
     train(config, *pin_data(), checkpoint_dir=tmp_path)
-    return config, train(config, *pin_data(), resume_from=tmp_path)
+    return config, {"resume_from": tmp_path}
 
 
-def stepped_after_train(config, tmp_path):
-    result = train(config, *pin_data())
-    model = result.step.model
-    reps, trace = model.forward(result.train_data.inputs[:4])
-    model.sgd_step(model.backward(trace, np.ones_like(reps)), config, 0)
-    return config, result
-
-
-def sigma2_changed(config, tmp_path):
-    result = train(config, *pin_data())
-    return config, dataclasses.replace(result, sigma2=2.0 * result.sigma2)
-
-
-FALLBACKS = {f.__name__: f for f in (off_eval, resumed_at_end, stepped_after_train, sigma2_changed)}
+FALLBACKS = {f.__name__: f for f in (off_eval, resumed_at_end)}
 
 
 @pytest.mark.parametrize("objective", ["magnet", "triplet", "softmax", "ncmc"])
 @pytest.mark.parametrize("case", sorted(FALLBACKS))
 def test_fallbacks_classify_again(objective, case, monkeypatch, tmp_path):
-    config, result = FALLBACKS[case](pin_config(objective), tmp_path)
+    # train() predicts once after its loop, at the last iteration; the
+    # report then classifies nothing
+    config, resume = FALLBACKS[case](pin_config(objective), tmp_path)
+    calls, step_class = [], magnetdml.training._STEPS[objective]
+    predict = step_class.predict
+
+    def counting(step, iteration):
+        calls.append(iteration)
+        return predict(step, iteration)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(step_class, "predict", counting)
+        result = train(config, *pin_data(), **resume)
+    loop_evals = list(range(19, 110, 20)) if case == "off_eval" else []
+    assert calls == loop_evals + [config.iterations - 1]
     want = json.dumps(fresh_report(config, result))
-    calls = counted_predict(monkeypatch, result)
+    refuse_to_classify(monkeypatch, result)
     assert json.dumps(build_report(config, result)) == want
-    assert calls == [(result.sigma2, config.iterations - 1)]
 
 
-def test_magnet_report_is_its_final_eval(monkeypatch):
-    # the report's kNC index draws the K-means seed of the eval at the last
-    # iteration, so that eval's predictions serve and nothing classifies again
+def test_magnet_report_is_its_final_eval():
+    # the last eval's kNC index draws the K-means seed of the last iteration,
+    # so predicting there again gives its predictions
     config = pin_config("magnet")
     result = train(config, *pin_data())
-    calls = counted_predict(monkeypatch, result)
     report = build_report(config, result)
-    assert calls == []
-    preds = result.step.predict(None, config.iterations - 1)
-    assert np.array_equal(result.final_eval[2], preds)
-    assert report["error_rate"] == float((preds != result.test_data.labels).mean())
+    preds = result.step.predict(config.iterations - 1)
+    assert np.array_equal(result.predictions, preds)
+    assert report["error_rate"] == float((preds != result.step.test_data.labels).mean())
 
 
 @pytest.mark.parametrize("objective", ["magnet", "triplet"])
@@ -131,7 +119,6 @@ def test_resumed_report_matches_uninterrupted(objective, tmp_path):
     config = pin_config(objective)
     result = train(config, *pin_data(), checkpoint_dir=tmp_path)
     resumed = train(config, *pin_data(), resume_from=tmp_path)
-    assert resumed.final_eval is None
     assert json.dumps(build_report(config, resumed)) == json.dumps(build_report(config, result))
 
 
@@ -146,7 +133,7 @@ def test_confusion_matches_loop_with_a_class_train_lacks(objective):
                                  "iterations": 40})
     result = train(config, train_data, test_data)
     report = build_report(config, result)
-    preds = result.step.predict(result.sigma2, config.iterations - 1)
+    preds = result.step.predict(config.iterations - 1)
     confusion = np.zeros((3, 3), dtype=int)
     for t, p in zip(test_data.labels, preds):
         confusion[int(t), int(p)] += 1
@@ -220,7 +207,6 @@ ALIGNED = "^predictions and labels must be non-empty and aligned$"
 def test_report_refuses_bad_predictions(edit, match):
     config = pin_config("nca")
     result = train(config, *pin_data())
-    version, sigma2, preds = result.final_eval
-    result = dataclasses.replace(result, final_eval=(version, sigma2, edit(preds)))
+    result = dataclasses.replace(result, predictions=edit(result.predictions))
     with pytest.raises(ContractError, match=match):
         build_report(config, result)
