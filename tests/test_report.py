@@ -3,7 +3,8 @@
 ``train()`` returns the test split's predictions by an eval at the run's last
 iteration: the loop's own when the last iteration is an eval, otherwise those
 of one ``predict`` after the loop (no eval at the last iteration, a resume
-that starts at the end). The report classifies nothing, and it must not
+that starts at the end). The report classifies nothing, not even for a model
+stepped or a variance changed after ``train()``, and it must not
 change a byte against one built from freshly recomputed predictions, magnet's
 kNC index included; its error rate is the last ``val_error``.
 
@@ -66,26 +67,45 @@ def test_report_does_not_classify_again(objective, monkeypatch):
     assert json.dumps(build_report(config, result)) == want
 
 
+def unchanged(result):
+    return result
+
+
 def off_eval(config, tmp_path):
     # the last eval is at iteration 99 of 110
     config = dataclasses.replace(config, iterations=110)
-    return config, {}
+    return config, {}, unchanged
 
 
 def resumed_at_end(config, tmp_path):
     train(config, *pin_data(), checkpoint_dir=tmp_path)
-    return config, {"resume_from": tmp_path}
+    return config, {"resume_from": tmp_path}, unchanged
 
 
-FALLBACKS = {f.__name__: f for f in (off_eval, resumed_at_end)}
+def stepped_after_train(config, tmp_path):
+    def step(result):
+        model = result.step.model
+        reps, trace = model.forward(result.step.train_data.inputs[:4])
+        model.sgd_step(model.backward(trace, np.ones_like(reps)), config, 0)
+        return result
+
+    return config, {}, step
+
+
+def sigma2_changed(config, tmp_path):
+    return config, {}, lambda result: dataclasses.replace(result, sigma2=2.0 * result.sigma2)
+
+
+FALLBACKS = {f.__name__: f for f in (off_eval, resumed_at_end, stepped_after_train, sigma2_changed)}
 
 
 @pytest.mark.parametrize("objective", ["magnet", "triplet", "softmax", "ncmc"])
 @pytest.mark.parametrize("case", sorted(FALLBACKS))
 def test_fallbacks_classify_again(objective, case, monkeypatch, tmp_path):
-    # train() predicts once after its loop, at the last iteration; the
-    # report then classifies nothing
-    config, resume = FALLBACKS[case](pin_config(objective), tmp_path)
+    # train() predicts once after its loop when the loop did not at the last
+    # iteration; the report then classifies nothing, so a model stepped or a
+    # variance changed after train() leaves its counts as train() made them
+    config, resume, change = FALLBACKS[case](pin_config(objective), tmp_path)
     calls, step_class = [], magnetdml.training._STEPS[objective]
     predict = step_class.predict
 
@@ -96,11 +116,14 @@ def test_fallbacks_classify_again(objective, case, monkeypatch, tmp_path):
     with monkeypatch.context() as patch:
         patch.setattr(step_class, "predict", counting)
         result = train(config, *pin_data(), **resume)
-    loop_evals = list(range(19, 110, 20)) if case == "off_eval" else []
-    assert calls == loop_evals + [config.iterations - 1]
-    want = json.dumps(fresh_report(config, result))
+    loop_evals = [] if case == "resumed_at_end" else list(range(19, config.iterations, 20))
+    after_loop = [] if loop_evals[-1:] == [config.iterations - 1] else [config.iterations - 1]
+    assert calls == loop_evals + after_loop
+    want = fresh_report(config, result)
+    result = change(result)
     refuse_to_classify(monkeypatch, result)
-    assert json.dumps(build_report(config, result)) == want
+    want["sigma2"] = result.sigma2
+    assert json.dumps(build_report(config, result)) == json.dumps(want)
 
 
 def test_magnet_report_is_its_final_eval():
