@@ -25,8 +25,8 @@ class Dataset:
     """Labelled feature vectors with optional per-example binary attributes.
 
     ``inputs`` is (N, d) finite float64 with N, d >= 1, ``labels`` is (N,)
-    integer with every value in [0, class_count) and every class represented
-    at least once.
+    int64, cast from integers or whole floats, with every value in [0,
+    class_count) and every class represented at least once.
     ``attributes`` is either None or a row-aligned (N, A) 0/1 array; a dataset
     without attributes stores None so attribute metrics refuse to run instead
     of silently reporting zeros.
@@ -38,7 +38,14 @@ class Dataset:
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        # labels are checked before the int64 cast, which truncates fractions,
+        # warns on NaN and raises on strings and on numbers past int64
+        labels = np.asarray(self.labels)
+        whole = labels.dtype.kind == "b" or labels.dtype.kind in "iuf" and (
+            (np.trunc(labels) == labels) & (np.abs(labels) < 2.0**63)).all()  # not NaN or inf
+        if not whole:
+            raise ConfigurationError("labels must be finite whole numbers in int64 range")
+        self.labels = np.asarray(labels, dtype=np.int64)
         if self.inputs.ndim != 2 or self.inputs.size == 0:
             raise ConfigurationError("inputs must be a non-empty (N, d) array with d >= 1")
         if not np.isfinite(self.inputs).all():

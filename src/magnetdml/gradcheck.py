@@ -1,7 +1,8 @@
 """Finite-difference checks of the gradient every objective trains with.
 
 :func:`grad_check` compares a step's analytic gradients to central finite
-differences. :func:`check_all_objectives` builds each objective's own step
+differences, perturbing one weight or bias element at a time in place and
+restoring it. :func:`check_all_objectives` builds each objective's own step
 class from ``training._STEPS`` on a tiny random dataset, fixes one batch of it
 and checks that step's ``objective``: the forward, loss and backward a
 training iteration runs, not a copy of them.
@@ -21,6 +22,9 @@ from .sampler import Neighbourhood
 from .training import _STEPS
 
 
+STEP = 1e-5  # the central difference's step
+
+
 @dataclass
 class GradCheckReport:
     max_relative_error: float
@@ -34,7 +38,6 @@ def grad_check(
     objective: Callable[[EmbeddingModel], tuple],
     tolerance: float = 1e-4,
     num_coords: int = 200,
-    step: float = 1e-5,
     seed: int = 0,
     kink_margin: float = 1e-6,
 ) -> GradCheckReport:
@@ -44,36 +47,37 @@ def grad_check(
     b_grads), kinks, ...)``, where ``kinks`` is a list of arrays of hinge and
     rectifier arguments; a coordinate is skipped when perturbing it moves one
     of them across (or within ``kink_margin`` of) 0, since the loss is not
-    differentiable there.
+    differentiable there. Coordinates are drawn over the weights, then the
+    biases; each is perturbed by ``STEP`` in place, in the model's own array,
+    and restored before the next, or before an exception leaves.
     """
     rng = np.random.default_rng(seed)
     _, (w_grads, b_grads), _ = objective(model)[:3]
-    flat_grad = np.concatenate([g.ravel() for g in [*w_grads, *b_grads]])
-    n_params = flat_grad.size
-    coords = rng.choice(n_params, size=min(num_coords, n_params), replace=False)
-    base = model.get_flat_params()
+    params, grads = [*model.weights, *model.biases], [*w_grads, *b_grads]
+    ends = np.cumsum([p.size for p in params])
+    coords = rng.choice(ends[-1], size=min(num_coords, ends[-1]), replace=False)
 
     max_rel = 0.0
     checked = skipped = 0
-    try:
-        for c in coords:
-            perturbed = base.copy()
-            perturbed[c] = base[c] + step
-            model.set_flat_params(perturbed)
+    for c in coords:
+        k = int(np.searchsorted(ends, c, side="right"))
+        param, i = params[k], c - ends[k] + params[k].size
+        value = param.flat[i]
+        try:
+            param.flat[i] = value + STEP
             loss_p, _, kinks_p = objective(model)[:3]
-            perturbed[c] = base[c] - step
-            model.set_flat_params(perturbed)
+            param.flat[i] = value - STEP
             loss_m, _, kinks_m = objective(model)[:3]
-            if _crosses_kink(kinks_p, kinks_m, kink_margin):
-                skipped += 1
-                continue
-            fd = (loss_p - loss_m) / (2 * step)
-            an = flat_grad[c]
-            rel = abs(an - fd) / max(abs(an), abs(fd), 1e-6)
-            max_rel = max(max_rel, rel)
-            checked += 1
-    finally:
-        model.set_flat_params(base)
+        finally:
+            param.flat[i] = value
+        if _crosses_kink(kinks_p, kinks_m, kink_margin):
+            skipped += 1
+            continue
+        fd = (loss_p - loss_m) / (2 * STEP)
+        an = grads[k].flat[i]
+        rel = abs(an - fd) / max(abs(an), abs(fd), 1e-6)
+        max_rel = max(max_rel, rel)
+        checked += 1
     return GradCheckReport(
         max_relative_error=max_rel,
         checked=checked,
@@ -96,7 +100,6 @@ def check_all_objectives(
     layer_dims=(10, 16, 8),
     tolerance: float = 1e-4,
     seed: int = 0,
-    num_coords: int = 200,
 ) -> Dict[str, GradCheckReport]:
     """Finite-difference checks for every objective on a tiny random dataset.
 
@@ -142,5 +145,5 @@ def check_all_objectives(
     for name, (config, data, batch) in cases.items():
         step = _STEPS[config.objective](config, data, data)
         reports[name] = grad_check(step.model, lambda m: step.objective(m, batch),
-                                   tolerance=tolerance, num_coords=num_coords, seed=seed)
+                                   tolerance=tolerance, seed=seed)
     return reports

@@ -48,7 +48,8 @@ class EmbeddingModel:
 
     @property
     def version(self) -> int:
-        """Counts parameter writes through :meth:`sgd_step` and :meth:`set_flat_params`."""
+        """Counts parameter writes through :meth:`sgd_step`; a trace of an older
+        version is stale."""
         return self._version
 
     @property
@@ -120,23 +121,6 @@ class EmbeddingModel:
             self.weights + self.biases, self.w_velocity + self.b_velocity,
             list(w_grads) + list(b_grads), config, iteration,
         )
-        self._version += 1
-
-    # -- flat parameter view used by grad_check ----------------------------------
-
-    def get_flat_params(self) -> np.ndarray:
-        return np.concatenate(
-            [w.ravel() for w in self.weights] + [b.ravel() for b in self.biases]
-        )
-
-    def set_flat_params(self, flat: np.ndarray):
-        i = 0
-        for arrays in (self.weights, self.biases):
-            for a in arrays:
-                a[...] = flat[i : i + a.size].reshape(a.shape)
-                i += a.size
-        if i != flat.size:
-            raise ContractError("flat parameter vector has the wrong length")
         self._version += 1
 
     def to_bytes(self) -> bytes:

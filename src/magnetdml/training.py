@@ -3,11 +3,11 @@
 :func:`train` owns what the objectives share: the rng, the metrics rows, the
 refresh and checkpoint schedule and the final save. Every ``refresh_interval``
 iterations it takes the state (given a ``checkpoint_dir``) and saves it, then
-refreshes from the current model and, for ``seeded`` objectives, an index
-seed drawn from the rng. An objective is a step object: its constructor
-builds the fresh model and its own state; ``refresh(seed)`` rebuilds what
-derives from the model's embedding of the training set (magnet index,
-triplet miner); an iteration is ``sample(rng)``, every rng draw, then
+refreshes the objective from the current model. An objective is a step
+object: its constructor builds the fresh model and its own state;
+``refresh(rng)`` rebuilds what derives from the model's embedding of the
+training set (the magnet index, from an index seed it draws from the rng;
+the triplet miner); an iteration is ``sample(rng)``, every rng draw, then
 ``objective(model, batch) -> (loss, grads, kinks, out)``, pure given the
 model and the batch and the one that ``grad-check`` checks, then, if the loss
 and the model's gradients are finite, the SGD step and
@@ -118,7 +118,7 @@ def train(
                 if it > start:
                     _save_training_state(checkpoint_dir, step, rng, it, state)
                 boundary = state if last else None
-            step.refresh(int(rng.integers(2**31)) if step.seeded else None)
+            step.refresh(rng)
         loss, batch = step.step(it, rng)
         row = MetricsRow(it, loss)
         if (it + 1) % config.eval_interval == 0:
@@ -141,10 +141,10 @@ class _Step:
     that ``named`` turns into one), which ``step`` returns with the loss, or
     names in a ``ContractError`` before the SGD step if the loss or a
     gradient of the model is not finite. The kinks are the unflattened hinge
-    and rectifier arguments, which only grad-check reads. ``predict``
-    defaults to soft kNN over the training set, built by ``context``."""
+    and rectifier arguments, which only grad-check reads. ``refresh(rng)``
+    may draw from the training rng; only magnet's does. ``predict`` defaults
+    to soft kNN over the training set, built by ``context``."""
 
-    seeded = False  # refresh takes an index seed drawn from the training rng
     metric = "soft_knn"
 
     def __init__(self, config, train_data, test_data, model=None):
@@ -156,7 +156,7 @@ class _Step:
         # the report's confusion is over every class either split holds
         self.class_count = max(train_data.class_count, test_data.class_count)
 
-    def refresh(self, seed):
+    def refresh(self, rng):
         pass
 
     def step(self, iteration, rng):
@@ -195,7 +195,6 @@ class _Step:
 
 
 class _MagnetStep(_Step):
-    seeded = True
     metric = "knc"
 
     def __init__(self, config, train_data, test_data):
@@ -203,10 +202,10 @@ class _MagnetStep(_Step):
         self.sigma = SigmaTracker(decay=config.sigma_decay)
         self.loss_cache = np.full(train_data.size, np.nan)
 
-    def refresh(self, seed):
+    def refresh(self, rng):
         # shared, not copied: the cache carries over from index to index
-        self.index = build_index(self.model, self.train_data, k=self.config.k, seed=seed,
-                                 loss_cache=self.loss_cache)
+        self.index = build_index(self.model, self.train_data, k=self.config.k,
+                                 seed=int(rng.integers(2**31)), loss_cache=self.loss_cache)
 
     def sample(self, rng):
         return sample_neighbourhood(self.index, self.config.m, self.config.d, rng)
@@ -256,7 +255,7 @@ class _MagnetStep(_Step):
 
 
 class _TripletStep(_Step):
-    def refresh(self, seed):
+    def refresh(self, rng):
         self.miner = TripletMiner(self.model.embed(self.train_data.inputs), self.train_data.labels)
 
     def sample(self, rng):

@@ -36,6 +36,21 @@ class TestDatasetInvariants:
         with pytest.raises(ConfigurationError, match="attributes must be binary"):
             Dataset(np.zeros((2, 1)), np.array([0, 1]), attributes=[[value], [1]])
 
+    @pytest.mark.parametrize("labels", [[0.5, 1.7], [0, np.nan], [0, np.inf], [2**70, 0],
+                                        [0, 2.0**64], np.array([0, 2**63], dtype=np.uint64),
+                                        ["a", "b"], ["0", "1"], [0, None]],
+                             ids=["fraction", "nan", "inf", "int_2**70", "float_2**64",
+                                  "uint64_2**63", "letters", "digit_strings", "none"])
+    def test_labels_checked_before_the_int64_cast(self, labels):
+        # [0.5, 1.7] truncated to [0, 1], NaN warned in the cast, 2**70 and
+        # "a" were a raw OverflowError and ValueError from it
+        with pytest.raises(ConfigurationError, match="labels must be finite whole numbers"):
+            Dataset(np.zeros((2, 1)), labels)
+
+    def test_integral_float_labels_load(self):
+        ds = Dataset(np.zeros((3, 1)), np.array([0.0, 1.0, -0.0]))
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 1, 0]
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_inputs_rejected(self, bad):
         with pytest.raises(ConfigurationError, match="finite"):

@@ -64,3 +64,51 @@ def test_a_kink_the_perturbation_leaves_in_place_skips_nothing():
 
 def test_no_objective_skips_a_coordinate_at_the_default_margin():
     assert all(r.skipped == 0 and r.passed for r in check_all_objectives().values())
+
+
+def restore_case():
+    """A 3 -> 4 -> 2 MLP, a quadratic objective that counts its calls and
+    the identity and bytes of every weight and bias before grad_check."""
+    model = EmbeddingModel([3, 4, 2], seed=0)
+    x = np.random.default_rng(0).standard_normal((5, 3))
+    calls = []
+
+    def objective(m):
+        calls.append(None)
+        reps, trace = m.forward(x)
+        return float((reps * reps).sum()), m.backward(trace, 2.0 * reps), trace.preacts[:-1]
+
+    arrays = model.weights + model.biases
+    return model, objective, calls, arrays, [a.tobytes() for a in arrays]
+
+
+def assert_restored(model, arrays, before):
+    now = model.weights + model.biases
+    assert len(now) == len(arrays) and all(a is b for a, b in zip(now, arrays))
+    assert [a.tobytes() for a in now] == before
+
+
+def test_grad_check_restores_every_parameter():
+    model, objective, calls, arrays, before = restore_case()
+    assert grad_check(model, objective).passed
+    assert len(calls) == 1 + 2 * 26  # the analytic pass, then two per coordinate
+    assert_restored(model, arrays, before)
+
+
+@pytest.mark.parametrize("failing_call", [2, 3, 5])
+def test_grad_check_restores_when_the_objective_raises(failing_call):
+    """The 2nd call sees the first coordinate at +step, the 3rd at -step, the
+    5th the second coordinate at -step: each leaves the model as it was and
+    its exception reaches the caller."""
+    model, objective, calls, arrays, before = restore_case()
+
+    def failing(m):
+        if len(calls) + 1 == failing_call:
+            calls.append(None)
+            raise RuntimeError("objective failed")
+        return objective(m)
+
+    with pytest.raises(RuntimeError, match="objective failed"):
+        grad_check(model, failing)
+    assert len(calls) == failing_call
+    assert_restored(model, arrays, before)

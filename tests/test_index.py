@@ -115,11 +115,12 @@ class TestBuildIndex:
         # losses written before a refresh steer seeding after it
         config = ExperimentConfig(layer_dims=[3, 4], k=2, m=2, d=2)
         step = _MagnetStep(config, small_dataset, small_dataset)
-        step.refresh(0)
-        step.step(0, np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        step.refresh(rng)
+        step.step(0, rng)
         written = step.loss_cache.copy()
         assert np.isfinite(written).any()
-        step.refresh(1)
+        step.refresh(rng)
         assert step.index.loss_cache is step.loss_cache
         np.testing.assert_array_equal(step.loss_cache, written)
 

@@ -33,8 +33,9 @@ def test_non_finite_loss_aborts_naming_the_batch(objective, iteration, key, size
 def test_magnet_batch_names_cluster_rows():
     config = ExperimentConfig(**{**COMMON, **CONFIGS["magnet"]})
     step = _MagnetStep(config, *pin_data())
-    step.refresh(0)
-    _, batch = step.step(0, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    step.refresh(rng)
+    _, batch = step.step(0, rng)
     rows = batch["clusters"]
     assert len(rows) == config.m
     # each run of d examples was drawn from the index row in the same slot
@@ -52,7 +53,7 @@ def assert_abort_writes_nothing(corrupt, fault):
     config = ExperimentConfig(**{**COMMON, **CONFIGS["magnet"]})
     step = _MagnetStep(config, *pin_data())
     rng = np.random.default_rng(0)
-    step.refresh(0)
+    step.refresh(rng)
     step.step(0, rng)  # so that the velocities, the loss cache and sigma are set
     model = step.model
     arrays = lambda: [a.tobytes() for a in model.weights + model.biases + model.w_velocity
