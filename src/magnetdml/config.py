@@ -58,6 +58,8 @@ class ExperimentConfig:
         for f in fields(self):
             if f.type is float and not math.isfinite(getattr(self, f.name)):
                 raise ConfigurationError(f"{f.name} must be finite")
+        if not self.layer_dims or min(self.layer_dims) < 1:
+            raise ConfigurationError("layer_dims must be a non-empty list of sizes >= 1")
         if self.learning_rate <= 0:
             raise ConfigurationError("learning_rate must be positive")
         if not 0 <= self.momentum < 1:

@@ -87,9 +87,9 @@ class TripletMiner:
         if len(sizes) < 2:
             raise ConfigurationError("triplet sampling needs at least two classes")
         self.members = np.split(np.argsort(self.classes, kind="stable"), np.cumsum(sizes)[:-1])
-        self.seedable = np.concatenate([m for m in self.members if len(m) >= 2])
-        if len(self.seedable) == 0:
+        if sizes.max() < 2:
             raise ConfigurationError("no class has two examples to form a positive pair")
+        self.seedable = np.concatenate([m for m in self.members if len(m) >= 2])
         eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).smallest_subnormal
         with np.errstate(over="ignore", invalid="ignore"):
             self.sq = np.einsum("ij,ij->i", self.reps, self.reps)

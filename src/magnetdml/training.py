@@ -2,8 +2,8 @@
 
 :func:`train` owns what the objectives share: the rng, the metrics rows, the
 refresh and checkpoint schedule and the final save. Every ``refresh_interval``
-iterations it takes the state (given a ``checkpoint_dir``) and saves it, then
-refreshes the objective from the current model. An objective is a step
+iterations it writes the state (given a ``checkpoint_dir``) as it takes it,
+then refreshes the objective from the current model. An objective is a step
 object: its constructor builds the fresh model and its own state;
 ``refresh(rng)`` rebuilds what derives from the model's embedding of the
 training set (the magnet index, from an index seed it draws from the rng;
@@ -25,11 +25,12 @@ is always at a refresh boundary; the ``checkpoint.bin`` written after it is
 the current model in the state's blob form, an export for
 ``EmbeddingModel.load``; resume never reads it. A state saved at iteration t
 holds the config, the model and velocities, the rng before any draw of
-iteration t and the t metrics rows. The final save of a run that ends off a
-boundary writes the state of the last boundary, so its resume re-runs at most
-``refresh_interval - 1`` iterations. ``train(resume_from=dir)`` restores it
-in place. ``eval`` resumes a run's last state the same way, saving nothing,
-with its dataset in place of the test split.
+iteration t and the t metrics rows. A run that ends off a boundary leaves
+the state the loop wrote at the last boundary, and its final save exports
+the model only, so its resume re-runs at most ``refresh_interval - 1``
+iterations. ``train(resume_from=dir)`` restores it in place. ``eval``
+resumes a run's last state the same way, saving nothing, with its dataset in
+place of the test split.
 """
 
 from __future__ import annotations
@@ -94,32 +95,29 @@ def train(
     """Run the configured objective; deterministic given config and seed.
 
     ``checkpoint_dir`` enables resumable state dumps: the state is taken and
-    written at every refresh boundary but the run's first. The final save
-    writes the state of the newest boundary and exports the model beside it.
-    That state is the end's when the run ends on a boundary; otherwise the
-    loop keeps the last one before the end for it, and takes it even when
-    that is the run's first. ``resume_from`` (a directory holding such a
-    dump) continues an interrupted run with an identical seed stream.
+    written at every refresh boundary but the run's first, and at the first
+    too when it is the last before the end. The final save exports the
+    model, and writes the end's state first when the run ends on a boundary.
+    ``resume_from`` (a directory holding such a dump) continues an
+    interrupted run with an identical seed stream.
     """
     if train_data is None or test_data is None:
         train_data, test_data = resolve_datasets(config)
     step = _STEPS[config.objective](config, train_data, test_data)
     rng = np.random.default_rng(config.seed)
-    start, metrics, boundary, preds = 0, [], None, None
+    start, metrics, preds = 0, [], None
     if resume_from is not None:
         start, metrics = _load_training_state(resume_from, step, rng)
 
     for it in range(start, config.iterations):
         if it % config.refresh_interval == 0:
-            # the next boundary lies past the end: the final save writes this state
-            last = it + config.refresh_interval > config.iterations
-            if checkpoint_dir is not None and (it > start or last):
-                state = _dump_state(step, rng, it, metrics)
-                if it > start:
-                    _save_training_state(checkpoint_dir, step, rng, it, state)
-                boundary = state if last else None
+            # the run's first state is skipped unless no later boundary supersedes it
+            if checkpoint_dir is not None and (
+                    it > start or it + config.refresh_interval > config.iterations):
+                _save_training_state(checkpoint_dir, step, rng, it,
+                                     _dump_state(step, rng, it, metrics))
             step.refresh(rng)
-        loss, batch = step.step(it, rng)
+        loss = step.step(it, rng)
         row = MetricsRow(it, loss)
         if (it + 1) % config.eval_interval == 0:
             preds = step.predict(it)
@@ -127,9 +125,9 @@ def train(
         metrics.append(row)
 
     if checkpoint_dir is not None:
-        if config.iterations % config.refresh_interval == 0:
-            boundary = _dump_state(step, rng, config.iterations, metrics)
-        _save_training_state(checkpoint_dir, step, rng, config.iterations, boundary)
+        end = config.iterations
+        state = None if end % config.refresh_interval else _dump_state(step, rng, end, metrics)
+        _save_training_state(checkpoint_dir, step, rng, end, state)
     if preds is None or config.iterations % config.eval_interval:
         preds = step.predict(config.iterations - 1)  # the loop made no eval at the end
     return TrainResult(step.model, metrics, step.sigma2(), step, preds)
@@ -137,10 +135,10 @@ def train(
 
 class _Step:
     """The part of the loop that differs between objectives (module docstring).
-    A batch is a dict naming its examples (magnet's, a :class:`Neighbourhood`
-    that ``named`` turns into one), which ``step`` returns with the loss, or
-    names in a ``ContractError`` before the SGD step if the loss or a
-    gradient of the model is not finite. The kinks are the unflattened hinge
+    ``step`` returns the loss. A batch is a dict naming its examples
+    (magnet's, a :class:`Neighbourhood` that ``named`` turns into one), which
+    ``step`` names in a ``ContractError`` before the SGD step if the loss or
+    a gradient of the model is not finite. The kinks are the unflattened hinge
     and rectifier arguments, which only grad-check reads. ``refresh(rng)``
     may draw from the training rng; only magnet's does. ``predict`` defaults
     to soft kNN over the training set, built by ``context``."""
@@ -168,7 +166,7 @@ class _Step:
                 fault, iteration, json.dumps(self.named(batch), default=lambda a: a.tolist())))
         self.model.sgd_step(grads, self.config, iteration)
         self.after(batch, out, iteration)
-        return loss, self.named(batch)
+        return loss
 
     def after(self, batch, out, iteration):
         pass
@@ -425,17 +423,12 @@ class BenchRow:
     ratio_to_first: Optional[float] = None
 
 
-def bench(
-    configs: List[ExperimentConfig],
-    target_error: float,
-    train_data: Optional[Dataset] = None,
-    test_data: Optional[Dataset] = None,
-) -> List[BenchRow]:
+def bench(configs: List[ExperimentConfig], target_error: float) -> List[BenchRow]:
     """Run each config and report the first iteration whose validation error
     reaches the target, plus the final-quarter mean error."""
     rows = []
     for config in configs:
-        result = train(config, train_data, test_data)
+        result = train(config)
         evals = [(r.iteration, r.val_error) for r in result.metrics if r.val_error is not None]
         if not evals:
             raise ConfigurationError("bench requires eval_interval <= iterations")
@@ -474,14 +467,18 @@ def _dump_state(step, rng, iteration, metrics) -> bytes:
 
 
 def _save_training_state(outdir, step, rng, iteration, state):
-    """Write ``state``, the :func:`_dump_state` of the newest refresh boundary
-    at or below ``iteration``, to ``training_state.json``, the resume point,
-    then the model at ``iteration`` to ``checkpoint.bin``, an export for
+    """Write ``state``, the :func:`_dump_state` at ``iteration``, to
+    ``training_state.json``, the resume point, then the model at
+    ``iteration`` to ``checkpoint.bin``, an export for
     ``EmbeddingModel.load``, each through a temporary file and ``os.replace``.
-    A kill between the writes leaves a whole state beside an older export."""
+    A ``None`` state, at an end off a refresh boundary, writes the export
+    only, beside the state the loop saved at the last boundary. A kill
+    between the writes leaves a whole state beside an older export."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for name, data in (("training_state.json", state), ("checkpoint.bin", step.model.to_bytes())):
+        if data is None:
+            continue
         tmp = outdir / (name + ".tmp")
         tmp.write_bytes(data)
         os.replace(tmp, outdir / name)

@@ -282,6 +282,15 @@ class TestTrain:
         assert main(["train", str(config), str(tmp_path / "out")]) == 1
         assert "refresh_interval" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("objective", ["ncm", "ncmc"])
+    def test_empty_layer_dims_errors(self, tmp_path, capsys, objective):
+        # used to escape as a raw IndexError at config.layer_dims[-1]
+        config = write_config(tmp_path, objective=objective, layer_dims="")
+        assert main(["train", str(config), str(tmp_path / "out")]) == 1
+        assert capsys.readouterr() == (
+            "", "error: layer_dims must be a non-empty list of sizes >= 1\n")
+        assert not (tmp_path / "out").exists()
+
     def test_triplet_objective_runs(self, tmp_path):
         config = write_config(
             tmp_path, objective="triplet", learning_rate=0.002, alpha=0.5,
@@ -524,6 +533,14 @@ class TestGradCheck:
         config = write_config(tmp_path, learning_rate=0)
         assert main(["grad-check", str(config)]) == 1
         assert capsys.readouterr() == ("", "error: learning_rate must be positive\n")
+
+    @pytest.mark.parametrize("objective", sorted(CONFIGS))
+    def test_empty_layer_dims_errors(self, tmp_path, capsys, objective):
+        # used to escape as a raw IndexError at layer_dims[0], whatever the objective
+        config = write_config(tmp_path, objective=objective, layer_dims="")
+        assert main(["grad-check", str(config)]) == 1
+        assert capsys.readouterr() == (
+            "", "error: layer_dims must be a non-empty list of sizes >= 1\n")
 
     def test_bad_eval_l_errors(self, tmp_path, capsys):
         # eval_l = 0 used to pass every check and fail only at a run's first eval

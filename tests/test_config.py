@@ -66,10 +66,17 @@ def test_every_field_round_trips(tmp_path):
     ({"d": "0"}, "d must be >= 1"),
     ({"k": "0"}, "k must be >= 1"),
     ({"ncm_k": "0"}, "ncm_k must be >= 1"),
+    ({"layer_dims": ""}, r"layer_dims must be a non-empty list of sizes >= 1"),
+    ({"layer_dims": "2,0,3"}, r"layer_dims must be a non-empty list of sizes >= 1"),
 ])
 def test_bad_values_rejected(tmp_path, overrides, match):
     with pytest.raises(ConfigurationError, match=match):
         parse_config(write_config(tmp_path / "run.cfg", overrides))
+
+
+def test_one_layer_size_is_valid():
+    # ncm and ncmc read only the last entry; their model's input is the data's
+    assert ExperimentConfig(objective="ncm", layer_dims=[3]).layer_dims == [3]
 
 
 def test_negative_env_seed_rejected(tmp_path, monkeypatch):

@@ -2,11 +2,13 @@
 
 Every objective trains 60 iterations with a refresh every 20. In turn, one
 temporary-file write or one ``os.replace`` of a single save raises: of the
-save at iteration 40 (a refresh boundary) of the 60-iteration run, or of the
-final save of a run halted at 50 (inside a refresh window). Resuming the same
-directory to 60 must give the metrics.csv and weights of the uninterrupted
-run byte for byte. One ``magnetdml train`` process is also killed with
-SIGKILL once its first state is on disk, and resumed.
+save at iteration 40 (a refresh boundary) or of the final save at 60 (a
+boundary, which writes the state and the export) of the 60-iteration run, or
+of the final save of a run halted at 50 (inside a refresh window, which
+writes the export only). Resuming the same directory to 60 must give the
+metrics.csv and weights of the uninterrupted run byte for byte. One
+``magnetdml train`` process is also killed with SIGKILL once its first state
+is on disk, and resumed.
 """
 
 import dataclasses
@@ -70,8 +72,15 @@ def fail_in_save(monkeypatch, at, owner, name, call):
     monkeypatch.setattr(training, "_save_training_state", save_failing_at)
 
 
-@pytest.mark.parametrize("fault", sorted(FAULTS))
-@pytest.mark.parametrize("halt, at", [(60, 40), (50, 50)], ids=["save-at-40", "final-save-at-50"])
+# (id, halt, at, the faults its save can meet): the export-only save meets two
+SAVES = [("save-at-40", 60, 40, sorted(FAULTS)),
+         ("final-save-at-50", 50, 50, ["replace-1", "write-1"]),
+         ("final-save-at-60", 60, 60, sorted(FAULTS))]
+
+
+@pytest.mark.parametrize("halt, at, fault", [
+    pytest.param(halt, at, fault, id=f"{name}-{fault}")
+    for name, halt, at, faults in SAVES for fault in faults])
 @pytest.mark.parametrize("objective", sorted(CONFIGS))
 def test_resume_after_a_failed_save_matches_uninterrupted(objective, halt, at, fault, tmp_path):
     config = config_of(objective)

@@ -7,6 +7,7 @@ from magnetdml import (
     Dataset,
     EmbeddingModel,
     ExperimentConfig,
+    LinearHead,
     build_index,
     magnet_as_triplet,
     magnet_full_objective,
@@ -390,6 +391,26 @@ class TestSoftmaxXent:
                 zm[i, j] -= h
                 fd = (softmax_xent(zp, y)[0] - softmax_xent(zm, y)[0]) / (2 * h)
                 assert abs(fd - g[i, j]) < 1e-8
+
+
+class TestLinearHead:
+    def test_gradients_finite_differences(self):
+        # grad-check perturbs only the embedding: the head's own gradients
+        rng = np.random.default_rng(10)
+        head = LinearHead.create(3, 4, seed=2)
+        head.b[...] = rng.standard_normal(4)
+        reps, y = rng.standard_normal((6, 3)), np.array([0, 1, 2, 3, 0, 1])
+        _, *grads = head.loss_and_grads(reps, y)
+        h = 1e-6
+        for array, grad in zip((reps, head.w, head.b), grads):
+            for i in np.ndindex(array.shape):
+                value = array[i]
+                array[i] = value + h
+                plus = head.loss_and_grads(reps, y)[0]
+                array[i] = value - h
+                minus = head.loss_and_grads(reps, y)[0]
+                array[i] = value
+                assert abs((plus - minus) / (2 * h) - grad[i]) < 1e-8
 
 
 @settings(max_examples=25, deadline=None)

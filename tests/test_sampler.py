@@ -167,3 +167,8 @@ class TestSampleTriplets:
     def test_single_class_rejected(self):
         with pytest.raises(ConfigurationError):
             sample_triplets(TripletMiner(np.zeros((3, 1)), np.zeros(3, dtype=int)), 2, 1.0, rng=0)
+
+    def test_no_class_of_two_rejected(self):
+        # used to raise numpy's ValueError from concatenating no classes
+        with pytest.raises(ConfigurationError, match="no class has two examples"):
+            TripletMiner(np.zeros((3, 1)), np.array([0, 1, 2]))

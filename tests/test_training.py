@@ -3,6 +3,8 @@ writes the model, and the batch it names; the state dumps the loop takes;
 the refusal of a test set of another dimension."""
 
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,19 +33,24 @@ def test_non_finite_loss_aborts_naming_the_batch(objective, iteration, key, size
 
 
 def test_magnet_batch_names_cluster_rows():
+    # the batch is read from the abort of a NaN loss, as the step writes it
     config = ExperimentConfig(**{**COMMON, **CONFIGS["magnet"]})
     step = _MagnetStep(config, *pin_data())
     rng = np.random.default_rng(0)
     step.refresh(rng)
-    _, batch = step.step(0, rng)
-    rows = batch["clusters"]
+    drawn, sample, objective = [], step.sample, step.objective
+    step.sample = lambda rng: drawn.append(sample(rng)) or drawn[-1]
+    step.objective = lambda model, nb: (np.nan, *objective(model, nb)[1:])
+    with pytest.raises(ContractError) as info:
+        step.step(0, rng)
+    written = json.loads(str(info.value).split("; offending batch: ")[1])
+    rows = written["clusters"]
     assert len(rows) == config.m
     # each run of d examples was drawn from the index row in the same slot
-    np.testing.assert_array_equal(step.index.example_cluster[batch["examples"]],
+    np.testing.assert_array_equal(step.index.example_cluster[written["examples"]],
                                   np.repeat(rows, config.d))
-    written = json.loads(json.dumps(batch, default=lambda a: a.tolist()))  # as the abort does
-    assert written["clusters"] == [int(r) for r in rows]
-
+    assert rows == [int(r) for r in drawn[0].clusters]
+    assert written["examples"] == drawn[0].example_indices.tolist()
 
 
 def assert_abort_writes_nothing(corrupt, fault):
@@ -107,6 +114,27 @@ def test_state_is_dumped_once_per_written_boundary(iterations, dumps, tmp_path, 
     assert len(calls) == dumps
     written = json.loads((tmp_path / "training_state.json").read_text())
     assert written["iteration"] == calls[-1]
+
+
+def test_state_is_replaced_once_per_boundary_of_an_off_boundary_run(tmp_path, monkeypatch):
+    # the end at 50 exports the model only: the state of 40 is on disk already
+    save, replace, replaced = training._save_training_state, os.replace, []
+
+    def save_counting(outdir, step, rng, iteration, *rest):
+        def counting(src, dst):
+            if Path(dst).name == "training_state.json":
+                replaced.append(iteration)
+            replace(src, dst)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "replace", counting)
+            save(outdir, step, rng, iteration, *rest)
+
+    monkeypatch.setattr(training, "_save_training_state", save_counting)
+    config = ExperimentConfig(**{**COMMON, **CONFIGS["nca"], "iterations": 50,
+                                 "refresh_interval": 20})
+    train(config, *pin_data(), checkpoint_dir=tmp_path)
+    assert replaced == [20, 40]
+    assert json.loads((tmp_path / "training_state.json").read_text())["iteration"] == 40
 
 
 @pytest.mark.parametrize("objective", sorted(CONFIGS))
