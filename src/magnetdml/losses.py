@@ -1,7 +1,8 @@
 """Training objectives and their gradients with respect to representations.
 
 Implements the cluster-overlap (magnet) objective in both its minibatch and
-full-dataset forms, plus triplet, NCA, NCM/NCMC and a softmax head.
+full-dataset forms, plus triplet, NCA, NCM/NCMC and a softmax head, which
+is a one-layer :class:`EmbeddingModel`.
 
 Conventions fixed here:
   - hinge subgradient at 0 is 0 (active only for strictly positive argument);
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractError
 from .index import VARIANCE_FLOOR, class_kmeans, cluster_variance, sqdist
-from .model import EmbeddingModel, momentum_sgd
+from .model import EmbeddingModel
 
 
 @dataclass
@@ -295,30 +296,15 @@ def softmax_xent(logits: np.ndarray, labels: np.ndarray):
     return float(losses.mean()), grads
 
 
-@dataclass
-class LinearHead:
-    """Linear classifier over representations for the softmax baseline."""
-
-    w: np.ndarray
-    b: np.ndarray
-    w_velocity: np.ndarray
-    b_velocity: np.ndarray
-
-    @classmethod
-    def create(cls, rep_dim: int, class_count: int, seed: int = 0) -> "LinearHead":
-        """A head with the Glorot-uniform weight, zero bias and zero velocities
-        of a one-layer ``EmbeddingModel([rep_dim, class_count], seed)``."""
-        layer = EmbeddingModel([rep_dim, class_count], seed)
-        return cls(layer.weights[0], layer.biases[0], layer.w_velocity[0], layer.b_velocity[0])
-
-    def logits(self, reps: np.ndarray) -> np.ndarray:
-        return reps @ self.w.T + self.b
+class LinearHead(EmbeddingModel):
+    """The softmax baseline's linear classifier over representations: a
+    one-layer model, ``LinearHead([rep_dim, class_count], seed)``, of logits."""
 
     def loss_and_grads(self, reps: np.ndarray, labels: np.ndarray):
-        """Returns (mean loss, grads w.r.t. representations, grad_w, grad_b)."""
-        loss, dlogits = softmax_xent(self.logits(reps), labels)
-        return loss, dlogits @ self.w, dlogits.T @ reps, dlogits.sum(axis=0)
+        """Returns (mean loss, grads w.r.t. representations, (w_grads, b_grads))."""
+        logits, trace = self.forward(reps)
+        loss, dlogits = softmax_xent(logits, labels)
+        return loss, dlogits @ self.weights[0], self.backward(trace, dlogits)
 
-    def sgd_step(self, grad_w, grad_b, config, iteration: int):
-        momentum_sgd([self.w, self.b], [self.w_velocity, self.b_velocity],
-                     [grad_w, grad_b], config, iteration)
+    # in this class's own dict: trainbench's tracer wraps it by name to count the head's steps
+    sgd_step = EmbeddingModel.sgd_step

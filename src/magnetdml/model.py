@@ -1,4 +1,4 @@
-"""Feed-forward embedding map, exact backprop, SGD with momentum, the saved-array codec.
+"""Feed-forward embedding map, exact backprop, SGD with momentum, the saved form and its codec.
 
 The map is a stack of affine layers with rectifier activations on hidden
 layers and identity output. Everything is float64; the finite-difference
@@ -30,6 +30,8 @@ class ActivationTrace:
 
 class EmbeddingModel:
     """MLP mapping inputs to representation space."""
+
+    _ARRAYS = ("weights", "biases", "w_velocity", "b_velocity")  # the saved form's keys
 
     def __init__(self, layer_dims: Sequence[int], seed: int = 0):
         if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
@@ -115,13 +117,40 @@ class EmbeddingModel:
         return w_grads, b_grads
 
     def sgd_step(self, gradients, config: ExperimentConfig, iteration: int):
-        """One :func:`momentum_sgd` step over every weight and bias."""
+        """velocity <- momentum*velocity - rate*grad; param += velocity, in place, for
+        every weight and bias; the rate is ``learning_rate`` annealed by
+        ``anneal_factor`` every ``epoch_length`` iterations."""
+        rate = config.learning_rate * config.anneal_factor ** (iteration // config.epoch_length)
         w_grads, b_grads = gradients
-        momentum_sgd(
-            self.weights + self.biases, self.w_velocity + self.b_velocity,
-            list(w_grads) + list(b_grads), config, iteration,
-        )
+        for p, v, g in zip(self.weights + self.biases, self.w_velocity + self.b_velocity,
+                           [*w_grads, *b_grads]):
+            if g.shape != p.shape:
+                raise ContractError("gradient shape does not match parameter")
+            v *= config.momentum
+            v -= rate * g
+            p += v
         self._version += 1
+
+    def state(self) -> dict:
+        """The weights, biases and velocities as ``training_state.json`` holds them."""
+        return {key: [_pack(a) for a in getattr(self, key)] for key in self._ARRAYS}
+
+    def restore(self, raw, name: str):
+        """Copy a :meth:`state` into this model in place; saved layers other than
+        ``layer_dims`` are a ConfigurationError, any other fault a ValueError,
+        each naming the model ``name``."""
+        try:
+            dims, weights = _unpack_weights(raw["weights"])
+            if dims != self.layer_dims:
+                raise ConfigurationError(f"the saved {name} has layers {dims}, the config's "
+                                         f"{name} has {self.layer_dims}")
+            _copy_finite(self.weights, weights, "weights")
+            for key in self._ARRAYS[1:]:
+                _restore(getattr(self, key), raw[key], key)
+        except ConfigurationError:
+            raise
+        except (LookupError, TypeError, ValueError) as exc:  # a missing key too
+            raise ValueError(f"the saved {name}: {exc}") from exc
 
     def to_bytes(self) -> bytes:
         """JSON of ``weights`` and ``biases`` as ``training_state.json`` holds them."""
@@ -143,21 +172,6 @@ class EmbeddingModel:
             return model
         except (LookupError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise ParseError(f"{path}: not a model checkpoint: {exc}") from exc
-
-
-def momentum_sgd(params, velocities, grads, config: ExperimentConfig, iteration: int):
-    """velocity <- momentum*velocity - rate*grad; param += velocity, in place.
-    Reads four fields of ``config``: the rate is ``learning_rate`` annealed by
-    ``anneal_factor`` every ``epoch_length`` iterations, and ``momentum``
-    scales the velocity."""
-    rate = config.learning_rate * config.anneal_factor ** (iteration // config.epoch_length)
-    for p, v, g in zip(params, velocities, grads):
-        if g.shape != p.shape:
-            raise ContractError("gradient shape does not match parameter")
-        v *= config.momentum
-        v -= rate * g
-        p += v
-
 
 
 def _pack(array) -> dict:

@@ -9,9 +9,9 @@ object: its constructor builds the fresh model and its own state;
 training set (the magnet index, from an index seed it draws from the rng;
 the triplet miner); an iteration is ``sample(rng)``, every rng draw, then
 ``objective(model, batch) -> (loss, grads, kinks, out)``, pure given the
-model and the batch and the one that ``grad-check`` checks, then, if the loss
-and the model's gradients are finite, the SGD step and
-``after(batch, out, iteration)``;
+model and the batch and the one that ``grad-check`` checks, then, if the loss,
+the model's gradients and what ``non_finite(out)`` screens (the softmax
+head's gradients) are finite, the SGD step and ``after(batch, out, iteration)``;
 ``predict(iteration)`` classifies the test split for the eval rows and the
 report; ``sigma2()`` is the report variance; ``state()`` adds its own keys to
 ``training_state.json`` and ``resume(raw)`` copies them into its own arrays.
@@ -54,7 +54,7 @@ from .errors import ConfigurationError, ContractError, ParseError
 from .evaluate import (EvalContext, SigmaTracker, attribute_precision, classify_batch, confusion,
                        error_rate, knc_context, reference_sigma2, soft_knn_context)
 from .index import build_index
-from .model import EmbeddingModel, _copy_finite, _pack, _restore, _unpack, _unpack_weights
+from .model import EmbeddingModel, _pack, _unpack
 from .sampler import TripletMiner, sample_neighbourhood, sample_triplets
 
 
@@ -137,9 +137,10 @@ class _Step:
     """The part of the loop that differs between objectives (module docstring).
     ``step`` returns the loss. A batch is a dict naming its examples
     (magnet's, a :class:`Neighbourhood` that ``named`` turns into one), which
-    ``step`` names in a ``ContractError`` before the SGD step if the loss or
-    a gradient of the model is not finite. The kinks are the unflattened hinge
-    and rectifier arguments, which only grad-check reads. ``refresh(rng)``
+    ``step`` names in a ``ContractError`` before any SGD step if the loss, a
+    gradient of the model or what ``non_finite`` names is not finite. The
+    kinks are the unflattened hinge and rectifier arguments, which only
+    grad-check reads. ``refresh(rng)``
     may draw from the training rng; only magnet's does. ``predict`` defaults
     to soft kNN over the training set, built by ``context``."""
 
@@ -160,13 +161,17 @@ class _Step:
     def step(self, iteration, rng):
         batch = self.sample(rng)
         loss, grads, _, out = self.objective(self.model, batch)
-        fault = "loss" if not np.isfinite(loss) else _non_finite_gradient(grads)
+        fault = "loss" if not np.isfinite(loss) else (
+            _non_finite_gradient(grads) or self.non_finite(out))
         if fault is not None:
             raise ContractError("non-finite %s at iteration %d; offending batch: %s" % (
                 fault, iteration, json.dumps(self.named(batch), default=lambda a: a.tolist())))
         self.model.sgd_step(grads, self.config, iteration)
         self.after(batch, out, iteration)
         return loss
+
+    def non_finite(self, out) -> Optional[str]:
+        return None  # what ``after`` applies from ``out``: only softmax's has any
 
     def after(self, batch, out, iteration):
         pass
@@ -298,9 +303,7 @@ class _SoftmaxStep(_Step):
 
     def __init__(self, config, train_data, test_data):
         super().__init__(config, train_data, test_data)
-        self.head = L.LinearHead.create(
-            self.model.output_dim, train_data.class_count, seed=config.seed + 1
-        )
+        self.head = L.LinearHead([self.model.output_dim, train_data.class_count], config.seed + 1)
 
     def sample(self, rng):
         n = self.train_data.size
@@ -308,21 +311,25 @@ class _SoftmaxStep(_Step):
 
     def objective(self, model, batch):
         reps, trace = model.forward(self.train_data.inputs[batch["examples"]])
-        loss, rep_grads, grad_w, grad_b = self.head.loss_and_grads(
+        loss, rep_grads, head_grads = self.head.loss_and_grads(
             reps, self.train_data.labels[batch["examples"]])
-        return loss, model.backward(trace, rep_grads), trace.preacts[:-1], (grad_w, grad_b)
+        return loss, model.backward(trace, rep_grads), trace.preacts[:-1], head_grads
+
+    def non_finite(self, head_grads):
+        fault = _non_finite_gradient(head_grads)
+        return fault and "head " + fault
 
     def after(self, batch, head_grads, iteration):
-        self.head.sgd_step(*head_grads, self.config, iteration)
+        self.head.sgd_step(head_grads, self.config, iteration)
 
     def predict(self, iteration) -> np.ndarray:
-        return self.head.logits(self.model.embed(self.test_data.inputs)).argmax(axis=1)
+        return self.head.embed(self.model.embed(self.test_data.inputs)).argmax(axis=1)
 
     def state(self) -> dict:
-        return {"head": {k: _pack(v) for k, v in vars(self.head).items()}}
+        return {"head": self.head.state()}
 
     def resume(self, raw):
-        _restore(list(vars(self.head).values()), [raw["head"][k] for k in vars(self.head)], "head")
+        self.head.restore(raw["head"], "head")
 
 
 class _NcmStep(_Step):
@@ -448,9 +455,6 @@ def bench(configs: List[ExperimentConfig], target_error: float) -> List[BenchRow
 
 # -- resumable training state ------------------------------------------------
 
-_MODEL_ARRAYS = ("weights", "biases", "w_velocity", "b_velocity")
-
-
 def _dump_state(step, rng, iteration, metrics) -> bytes:
     """The state at ``iteration``, a refresh boundary, as the bytes of
     ``training_state.json``."""
@@ -461,7 +465,7 @@ def _dump_state(step, rng, iteration, metrics) -> bytes:
         "metrics": _pack(np.array(
             [(r.iteration, r.train_loss, np.nan if r.val_error is None else r.val_error)
              for r in metrics], dtype=np.float64).reshape(-1, 3)),
-        **{key: [_pack(a) for a in getattr(step.model, key)] for key in _MODEL_ARRAYS},
+        **step.model.state(),
         **step.state(),
     }).encode()
 
@@ -513,15 +517,16 @@ def load_run_config(run_dir) -> ExperimentConfig:
 def _load_training_state(outdir, step, rng) -> Tuple[int, List[MetricsRow]]:
     """Restore a state written by :func:`_save_training_state` into ``step``
     and ``rng`` in place; return ``(iteration, metrics)``. Only
-    ``training_state.json`` is read. A malformed file, a missing key, an
-    array that is not a whole blob of the expected shape (a state in the old
-    list format included), a non-finite model array, an iteration that is not
+    ``training_state.json`` is read; ``EmbeddingModel.restore`` copies in the
+    model and the softmax head. A malformed file, a missing key, an array
+    that is not a whole blob of the expected shape (a state in the old list
+    format included), a non-finite model array, an iteration that is not
     an int at or above 0 or is off a refresh boundary, metrics other than one
     row per iteration before it, a non-finite ``train_loss``, a ``val_error``
     that is neither NaN nor in [0, 1] or an rng state that is not a whole
     state of the run's generator is a ``ParseError``; a state the config
     cannot continue, a ``ConfigurationError`` naming both values."""
-    config, model = step.config, step.model
+    config = step.config
     with _reading_state(outdir) as raw:
         iteration = raw["iteration"]
         if type(iteration) is not int or iteration < 0:
@@ -530,11 +535,7 @@ def _load_training_state(outdir, step, rng) -> Tuple[int, List[MetricsRow]]:
             raise ConfigurationError(
                 f"the saved state is at iteration {iteration}, past the "
                 f"config's iterations = {config.iterations}")
-        saved_dims, weights = _unpack_weights(raw["weights"])
-        if saved_dims != model.layer_dims:
-            raise ConfigurationError(
-                f"the saved model has layers {saved_dims}, the config's model "
-                f"has {model.layer_dims}")
+        step.model.restore(raw, "model")
         for name, value in dataclasses.asdict(config).items():
             if name != "iterations" and raw["config"][name] != value:
                 raise ConfigurationError(
@@ -543,9 +544,6 @@ def _load_training_state(outdir, step, rng) -> Tuple[int, List[MetricsRow]]:
         if iteration % config.refresh_interval:
             raise ValueError(f"'iteration' = {iteration} is not a multiple of "
                              f"refresh_interval = {config.refresh_interval}")
-        _copy_finite(model.weights, weights, "weights")
-        for key in _MODEL_ARRAYS[1:]:  # the weights are copied above
-            _restore(getattr(model, key), raw[key], key)
         _check_rng_state(raw["rng_state"], rng.bit_generator.state["bit_generator"])
         rng.bit_generator.state = raw["rng_state"]
         step.resume(raw)

@@ -258,8 +258,8 @@ class TestTrain:
         assert main(["train", str(config), str(outdir)]) == 0
         path = outdir / "training_state.json"
         state = json.loads(path.read_text())
-        for key in ("w", "w_velocity"):
-            blob = state["head"][key]
+        for key in ("weights", "w_velocity"):
+            blob = state["head"][key][0]
             rows, cols = blob["shape"]
             data = np.frombuffer(base64.b64decode(blob["f8"]), dtype="<f8").reshape(rows, cols)
             blob.update(shape=[rows, cols - 1],

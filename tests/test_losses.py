@@ -397,12 +397,13 @@ class TestLinearHead:
     def test_gradients_finite_differences(self):
         # grad-check perturbs only the embedding: the head's own gradients
         rng = np.random.default_rng(10)
-        head = LinearHead.create(3, 4, seed=2)
-        head.b[...] = rng.standard_normal(4)
+        head = LinearHead([3, 4], seed=2)
+        head.biases[0][...] = rng.standard_normal(4)
         reps, y = rng.standard_normal((6, 3)), np.array([0, 1, 2, 3, 0, 1])
-        _, *grads = head.loss_and_grads(reps, y)
+        _, rep_grads, (w_grads, b_grads) = head.loss_and_grads(reps, y)
         h = 1e-6
-        for array, grad in zip((reps, head.w, head.b), grads):
+        for array, grad in zip((reps, head.weights[0], head.biases[0]),
+                               (rep_grads, w_grads[0], b_grads[0])):
             for i in np.ndindex(array.shape):
                 value = array[i]
                 array[i] = value + h

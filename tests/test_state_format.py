@@ -53,7 +53,7 @@ def as_lists(state, key):
     if key in ("weights", "biases", "w_velocity", "b_velocity"):
         state[key] = [decode(v).tolist() for v in state[key]]
     elif key == "head":
-        state[key] = {k: decode(v).tolist() for k, v in state[key].items()}
+        state[key] = {k: [decode(v).tolist() for v in vs] for k, vs in state[key].items()}
     else:
         state[key] = [None if np.isnan(v) else v for v in decode(state[key]).ravel().tolist()]
         if key == "metrics":
@@ -103,7 +103,7 @@ def test_resume_decodes_each_blob_once(objective, tmp_path):
     state = json.loads(path.read_text())
     blobs = [v for v in state.values() if isinstance(v, dict) and "f8" in v]
     blobs += [b for key in ("weights", "biases", "w_velocity", "b_velocity") for b in state[key]]
-    blobs += list(state.get("head", {}).values())
+    blobs += [b for vs in state.get("head", {}).values() for b in vs]
     with mock.patch("magnetdml.model.base64.b64decode", wraps=base64.b64decode) as decode_:
         train(config, *pin_data(), resume_from=tmp_path)
     assert decode_.call_count == len(blobs)
@@ -112,9 +112,9 @@ def test_resume_decodes_each_blob_once(objective, tmp_path):
 def test_softmax_head_round_trip(tmp_path):
     config, path = saved_state(tmp_path, objective="softmax")
     head = json.loads(path.read_text())["head"]
-    shapes = {"w": [4, 8], "b": [4], "w_velocity": [4, 8], "b_velocity": [4]}
-    assert {k: v["shape"] for k, v in head.items()} == shapes
-    assert all(np.isfinite(decode(v)).all() for v in head.values())
+    shapes = {"weights": [[4, 8]], "biases": [[4]], "w_velocity": [[4, 8]], "b_velocity": [[4]]}
+    assert {k: [v["shape"] for v in vs] for k, vs in head.items()} == shapes
+    assert all(np.isfinite(decode(v)).all() for vs in head.values() for v in vs)
 
 
 KEYS = ["loss_cache", "weights", "biases", "w_velocity", "b_velocity", "head", "metrics"]
@@ -130,12 +130,30 @@ def test_old_list_format_rejected(keys, tmp_path):
         train(config, *pin_data(), resume_from=tmp_path)
 
 
-def test_state_without_the_model_rejected(tmp_path):
-    # as in a state written when checkpoint.bin held the model
-    config, path = saved_state(tmp_path)
-    rewrite(path, lambda state: [state.pop("weights"), state.pop("biases"),
-                                 state.update(checkpoint_sha256="0" * 64)])
-    with pytest.raises(ParseError, match="'weights'"):
+def head_of_one_blob_per_array(state):
+    """The softmax head as states held it before it was a one-layer model:
+    one blob per array, named "w", "b", "w_velocity" and "b_velocity"."""
+    head = state["head"]
+    state["head"] = {"w": head["weights"][0], "b": head["biases"][0],
+                     "w_velocity": head["w_velocity"][0], "b_velocity": head["b_velocity"][0]}
+
+
+# a state written when checkpoint.bin held the model, and a softmax state
+# whose head has its earlier form; each error names what lacks 'weights'
+WITHOUT_THE_MODEL = {
+    "model": ("magnet", lambda state: [state.pop("weights"), state.pop("biases"),
+                                       state.update(checkpoint_sha256="0" * 64)],
+              "the saved model: 'weights'"),
+    "head": ("softmax", head_of_one_blob_per_array, "the saved head: 'weights'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WITHOUT_THE_MODEL))
+def test_state_without_the_model_rejected(case, tmp_path):
+    objective, edit, message = WITHOUT_THE_MODEL[case]
+    config, path = saved_state(tmp_path, objective)
+    rewrite(path, edit)
+    with pytest.raises(ParseError, match=message):
         train(config, *pin_data(), resume_from=tmp_path)
 
 
@@ -167,7 +185,7 @@ BLOBS = {
     "biases": lambda state: state["biases"][0],
     "w_velocity": lambda state: state["w_velocity"][0],
     "b_velocity": lambda state: state["b_velocity"][-1],
-    "head": lambda state: state["head"]["w"],
+    "head": lambda state: state["head"]["weights"][0],
     "metrics": lambda state: state["metrics"],
 }
 
@@ -281,7 +299,8 @@ def test_bad_magnet_sigma2_rejected(sigma2, tmp_path):
 def test_non_finite_model_array_rejected(key, tmp_path):
     config, path = saved_state(tmp_path, OBJECTIVE.get(key, "magnet"))
     rewrite(path, poison(key))
-    with pytest.raises(ParseError, match=f"'{key}' holds a non-finite value"):
+    array = "head: 'weights'" if key == "head" else f"'{key}'"
+    with pytest.raises(ParseError, match=f"{array} holds a non-finite value"):
         train(config, *pin_data(), resume_from=tmp_path)
 
 

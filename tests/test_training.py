@@ -1,5 +1,5 @@
-"""The training step's abort on a non-finite loss or gradient, before it
-writes the model, and the batch it names; the state dumps the loop takes;
+"""The training step's abort on a non-finite loss or gradient (the softmax
+head's too), before it writes the model, and the batch it names; the state dumps the loop takes;
 the refusal of a test set of another dimension."""
 
 import json
@@ -11,7 +11,8 @@ import pytest
 
 from magnetdml import Dataset, ExperimentConfig, training
 from magnetdml.errors import ConfigurationError, ContractError
-from magnetdml.training import _MagnetStep, train
+from magnetdml.losses import LinearHead
+from magnetdml.training import _MagnetStep, _SoftmaxStep, train
 
 from test_metrics_pin import COMMON, CONFIGS, pin_data
 
@@ -93,6 +94,33 @@ def test_non_finite_gradient_aborts_before_the_step_writes_anything(layer, kind,
     size = {"weight": (64, 128), "bias": (16, 8)}[kind][layer]  # layer_dims [4, 16, 8]
     assert_abort_writes_nothing(
         corrupt, f"gradient (layer {layer} {kind}, {entries} of {size} entries)")
+
+
+def test_non_finite_head_gradient_aborts_before_either_step(monkeypatch):
+    # the head's gradients used to be applied unchecked, after the
+    # embedding's step had run
+    config = ExperimentConfig(**{**COMMON, **CONFIGS["softmax"]})
+    step = _SoftmaxStep(config, *pin_data())
+    rng = np.random.default_rng(0)
+    step.step(0, rng)  # so that the velocities are set
+    arrays = lambda: [a.tobytes() for m in (step.model, step.head)
+                      for a in m.weights + m.biases + m.w_velocity + m.b_velocity]
+    before = arrays()
+    loss_and_grads = LinearHead.loss_and_grads
+
+    def corrupted(head, reps, labels):
+        loss, rep_grads, (w_grads, b_grads) = loss_and_grads(head, reps, labels)
+        w_grads[0].flat[0] = np.inf
+        return loss, rep_grads, (w_grads, b_grads)
+
+    monkeypatch.setattr(LinearHead, "loss_and_grads", corrupted)
+    with pytest.raises(ContractError) as info:
+        step.step(1, rng)
+    assert str(info.value).startswith(  # head layers [8, 4]
+        "non-finite head gradient (layer 0 weight, 1 of 32 entries) at iteration 1; "
+        "offending batch: ")
+    assert arrays() == before
+    assert step.model.version == step.head.version == 1
 
 
 def test_first_non_finite_gradient_is_named_by_layer():
