@@ -9,12 +9,13 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigurationError, ContractError
-from .index import VARIANCE_FLOOR, class_kmeans, cluster_variance, sqdist_blocks
+from .index import VARIANCE_FLOOR, class_kmeans, cluster_variance, sqdist
 
-# Distances per row block of the scoring kernel (512 KiB of float64): a
-# block and _stable_nearest's argpartition indices for it (int64, as many)
-# fit in 1 MiB together, so a call holds the full distance product and
-# about 1 MiB beside it. Smaller blocks cost time in per-block overhead.
+# Distances per row block handed to _stable_nearest (512 KiB of float64):
+# its argpartition indices for a block (int64, as many) take as much, so a
+# call holds the one distance array of sqdist and about 1 MiB beside it.
+# Smaller blocks cost time in per-block overhead. Everything done to a block
+# is per element or per row, so the bytes do not depend on the blocking.
 _BLOCK_ELEMENTS = 1 << 16
 
 
@@ -101,34 +102,28 @@ def _stable_nearest(d2: np.ndarray, l: int) -> np.ndarray:
     return nearest
 
 
-def _distance_blocks(queries: np.ndarray, references: np.ndarray):
-    """``(start, d2)`` row blocks of ``sqdist(queries, references)`` of about
-    ``_BLOCK_ELEMENTS`` distances each, in one reused buffer. Everything done
-    to a block is per element or per row, so its bytes do not depend on the
-    blocking."""
-    if queries.shape[1] != references.shape[1]:
-        raise ConfigurationError(
-            f"queries are {queries.shape[1]}-d but references are {references.shape[1]}-d")
-    rows = max(1, _BLOCK_ELEMENTS // max(len(references), 1))
-    return sqdist_blocks(queries, references, rows)
-
-
 def _retrieve_scores(ctx: EvalContext, reps: np.ndarray) -> np.ndarray:
     """Per-class kernel mass over each query's L nearest references, (n, C).
     References rank by (squared distance, index): at equal distance the lower
     index is nearer, so ties never make the L nearest ambiguous."""
     reps = np.atleast_2d(np.asarray(reps, dtype=np.float64))
+    if reps.shape[1] != ctx.references.shape[1]:
+        raise ConfigurationError(
+            f"queries are {reps.shape[1]}-d but references are {ctx.references.shape[1]}-d")
     l = min(ctx.l, len(ctx.references))
     inv_2sigma2 = 1.0 / (2.0 * ctx.sigma2)
     scores = np.zeros((len(reps), int(ctx.classes.max()) + 1))
-    for start, d2 in _distance_blocks(reps, ctx.references):
-        nearest = _stable_nearest(d2, l)
-        logits = -np.take_along_axis(d2, nearest, axis=1) * inv_2sigma2
+    d2 = sqdist(reps, ctx.references)
+    step = max(1, _BLOCK_ELEMENTS // len(ctx.references))
+    for start in range(0, len(reps), step):
+        block = d2[start:start + step]
+        nearest = _stable_nearest(block, l)
+        logits = -np.take_along_axis(block, nearest, axis=1) * inv_2sigma2
         mass = np.exp(logits - logits.max(axis=1, keepdims=True))
         mass /= mass.sum(axis=1, keepdims=True)
         # flat 1-D indices: the 2-D form of add.at adds its operands in the
         # other order, which changes which NaN payload survives
-        rows = np.arange(start, start + len(d2))
+        rows = np.arange(start, start + len(block))
         cells = rows[:, None] * scores.shape[1] + ctx.classes[nearest]
         np.add.at(scores.reshape(-1), cells.ravel(), mass.ravel())
     return scores
@@ -217,11 +212,12 @@ def _nearest_others(representations, sizes: Sequence[int]) -> np.ndarray:
     if any(s < 1 or s >= len(reps) for s in sizes):
         raise ConfigurationError("neighbourhood sizes must lie in [1, N)")
     l = max(sizes, default=1)
+    d2 = sqdist(reps, reps)
+    np.fill_diagonal(d2, np.inf)
     order = np.empty((len(reps), min(l, len(reps))), dtype=np.int64)
-    for start, d2 in _distance_blocks(reps, reps):
-        rows = np.arange(len(d2))
-        d2[rows, start + rows] = np.inf  # the block's part of the diagonal
-        order[start:start + len(d2)] = _stable_nearest(d2, l)
+    step = max(1, _BLOCK_ELEMENTS // len(reps))
+    for start in range(0, len(reps), step):
+        order[start:start + step] = _stable_nearest(d2[start:start + step], l)
     return order
 
 

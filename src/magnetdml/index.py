@@ -66,7 +66,8 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     n = len(points)
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[rng.integers(n)]
-    closest = np.einsum("ij,ij->i", points - centers[0], points - centers[0])
+    resid = points - centers[0]
+    closest = np.einsum("ij,ij->i", resid, resid)
     for j in range(1, k):
         total = closest.sum()
         if total <= 0:
@@ -74,39 +75,36 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
             continue
         idx = rng.choice(n, p=closest / total)
         centers[j] = points[idx]
-        d2 = np.einsum("ij,ij->i", points - centers[j], points - centers[j])
-        np.minimum(closest, d2, out=closest)
+        np.subtract(points, centers[j], out=resid)
+        np.minimum(closest, np.einsum("ij,ij->i", resid, resid), out=closest)
     return centers
+
+
+# Elements of sqdist's buffer for the norm sums of a row block (512 KiB of float64)
+_SUM_ELEMENTS = 1 << 16
 
 
 def sqdist(a: np.ndarray, b: np.ndarray, a_sq: Optional[np.ndarray] = None) -> np.ndarray:
     """Squared Euclidean distances between the rows of a and b, clamped at 0:
-    the one block of :func:`sqdist_blocks`. ``a_sq``, when given, is
-    ``(a * a).sum(1)`` computed by the caller."""
-    ((_, d2),) = sqdist_blocks(a, b, max(len(a), 1), a_sq)
-    return d2
+    ``max(a_sq + b_sq - 2.0 * a @ b.T, 0)``, where ``a_sq``, unless the caller
+    gives it, is ``(a * a).sum(1)``.
 
-
-def sqdist_blocks(a: np.ndarray, b: np.ndarray, rows: int, a_sq: Optional[np.ndarray] = None):
-    """Yield ``(start, d2)``, the clamped squared distances of
-    ``a[start:start + rows]`` to ``b``, block by block; ``d2`` is a buffer
-    that the next block overwrites.
-
-    The product ``2.0 * a @ b.T`` is taken once for all rows, and what
-    follows it is per element, so every block holds the bytes of its rows of
-    the full matrix. A product per block would round differently.
-    """
+    The product becomes the result, the one array a call holds: each row
+    block's norm sums are formed in a ``_SUM_ELEMENTS`` buffer and the product
+    subtracted from them in place. What follows the product is per element, so
+    the bytes do not depend on the blocking; a product per block would round
+    differently."""
     if a_sq is None:
         a_sq = (a * a).sum(1)
     b_sq = (b * b).sum(1)
-    prod = 2.0 * a @ b.T
+    d2 = 2.0 * a @ b.T
+    rows = max(1, _SUM_ELEMENTS // max(len(b), 1))
     buf = np.empty((min(rows, len(a)), len(b)))
-    for start in range(0, max(len(a), 1), rows):  # an empty a gives one empty block
-        stop = min(start + rows, len(a))
-        d2 = buf[: stop - start]
-        np.add(a_sq[start:stop, None], b_sq, out=d2)
-        d2 -= prod[start:stop]
-        yield start, np.maximum(d2, 0.0, out=d2)
+    for start in range(0, len(a), rows):
+        block = d2[start:start + rows]
+        sums = np.add(a_sq[start:start + rows, None], b_sq, out=buf[:len(block)])
+        np.subtract(sums, block, out=block)
+    return np.maximum(d2, 0.0, out=d2)
 
 
 @dataclass

@@ -277,8 +277,14 @@ def ncm_loss(w: np.ndarray, centroids: np.ndarray, inputs: np.ndarray, labels: n
 
 
 def ncm_classify(w: np.ndarray, centroids: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """The class of each input's nearest centroid under the map ``w``,
+    refusing distances that are not finite: the argmin of a NaN row would
+    name a class."""
     x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    return _ncm_sqdist(w, centroids, x).min(axis=2).argmin(axis=1)
+    dist2 = _ncm_sqdist(w, centroids, x)
+    if not np.isfinite(dist2).all():
+        raise ContractError("NCM distances are not finite")
+    return dist2.min(axis=2).argmin(axis=1)
 
 
 def softmax_xent(logits: np.ndarray, labels: np.ndarray):

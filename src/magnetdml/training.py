@@ -57,6 +57,9 @@ from .index import build_index
 from .model import EmbeddingModel, _pack, _unpack
 from .sampler import TripletMiner, sample_neighbourhood, sample_triplets
 
+# numpy's warnings for what the finiteness screens then name in a ContractError
+_SCREENED = dict(over="ignore", invalid="ignore", divide="ignore")
+
 
 @dataclass
 class MetricsRow:
@@ -138,9 +141,10 @@ class _Step:
     ``step`` returns the loss. A batch is a dict naming its examples
     (magnet's, a :class:`Neighbourhood` that ``named`` turns into one), which
     ``step`` names in a ``ContractError`` before any SGD step if the loss, a
-    gradient of the model or what ``non_finite`` names is not finite. The
-    kinks are the unflattened hinge and rectifier arguments, which only
-    grad-check reads. ``refresh(rng)``
+    gradient of the model or what ``non_finite`` names is not finite; numpy's
+    overflow warnings are off inside ``objective``, so that the screen, not a
+    warning, reports the fault. The kinks are the unflattened hinge and
+    rectifier arguments, which only grad-check reads. ``refresh(rng)``
     may draw from the training rng; only magnet's does. ``predict`` defaults
     to soft kNN over the training set, built by ``context``."""
 
@@ -160,7 +164,8 @@ class _Step:
 
     def step(self, iteration, rng):
         batch = self.sample(rng)
-        loss, grads, _, out = self.objective(self.model, batch)
+        with np.errstate(**_SCREENED):
+            loss, grads, _, out = self.objective(self.model, batch)
         fault = "loss" if not np.isfinite(loss) else (
             _non_finite_gradient(grads) or self.non_finite(out))
         if fault is not None:
@@ -323,7 +328,11 @@ class _SoftmaxStep(_Step):
         self.head.sgd_step(head_grads, self.config, iteration)
 
     def predict(self, iteration) -> np.ndarray:
-        return self.head.embed(self.model.embed(self.test_data.inputs)).argmax(axis=1)
+        with np.errstate(**_SCREENED):
+            logits = self.head.embed(self.model.embed(self.test_data.inputs))
+        if not np.isfinite(logits).all():
+            raise ContractError("softmax logits are not finite")
+        return logits.argmax(axis=1)
 
     def state(self) -> dict:
         return {"head": self.head.state()}
@@ -355,7 +364,8 @@ class _NcmStep(_Step):
         return loss, ([grad_w], [np.zeros_like(model.biases[0])]), [], None
 
     def predict(self, iteration) -> np.ndarray:
-        return L.ncm_classify(self.model.weights[0], self.centroids, self.test_data.inputs)
+        with np.errstate(**_SCREENED):
+            return L.ncm_classify(self.model.weights[0], self.centroids, self.test_data.inputs)
 
 
 def _non_finite_gradient(grads) -> Optional[str]:

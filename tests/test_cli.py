@@ -10,7 +10,7 @@ from magnetdml.cli import main
 from magnetdml.config import parse_config
 from magnetdml.errors import ContractError
 from magnetdml.evaluate import attribute_precision
-from magnetdml.model import EmbeddingModel
+from magnetdml.model import EmbeddingModel, _pack, _unpack
 from magnetdml.training import resolve_datasets
 
 from test_metrics_pin import COMMON, CONFIGS, pin_data
@@ -465,6 +465,30 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "training_state.json" in err or "bad training state" in err
+        assert not (tmp_path / "eval").exists()
+
+    # each used to exit 0 with the argmax or argmin of NaN rows as its
+    # predictions, and a report that held "sigma2": NaN
+    @pytest.mark.parametrize("objective, layer_dims, fault", [
+        ("softmax", "2,16,8", "softmax logits"),
+        ("ncmc", "2,8", "NCM distances"),
+    ])
+    def test_overflowing_weights_refused(self, tmp_path, capsys, objective, layer_dims, fault):
+        config = write_config(tmp_path, objective=objective, layer_dims=layer_dims,
+                              iterations=20, batch_size=8)  # the state is the run's end
+        outdir = tmp_path / "out"
+        assert main(["train", str(config), str(outdir)]) == 0
+        path = outdir / "training_state.json"
+        state = json.loads(path.read_text())
+        models = [state, state["head"]] if objective == "softmax" else [state]
+        for model in models:  # finite weights whose products overflow
+            model["weights"] = [_pack(_unpack(w, "weights") * 1e300) for w in model["weights"]]
+        path.write_text(json.dumps(state))
+        data = tmp_path / "data.csv"
+        assert main(["gen-data", str(write_spec(tmp_path)), str(data)]) == 0
+        capsys.readouterr()
+        assert main(["eval", str(outdir), str(data), str(tmp_path / "eval")]) == 1
+        assert capsys.readouterr().err == f"error: {fault} are not finite\n"
         assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize("option", [["--objective", "magnet"], ["--k", "2"],

@@ -1,13 +1,18 @@
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import magnetdml.index as index_module
 from magnetdml import Dataset, EmbeddingModel, ExperimentConfig, build_index, class_kmeans, kmeans
 from magnetdml.errors import ConfigurationError
-from magnetdml.index import VARIANCE_FLOOR, cluster_variance
+from magnetdml.index import VARIANCE_FLOOR, cluster_variance, sqdist
 from magnetdml.training import _MagnetStep
+
+from test_index_oracles import reference_sqdist
 
 
 def identity_model(dim):
@@ -141,6 +146,53 @@ def test_cluster_variance_allocates_one_residual():
         tracemalloc.stop()
     assert peak <= n * d * 8 + n * 8 + 64 * 1024
     assert np.isclose(variance, expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("blocking", ["one_row", "ragged", "one_block"])
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 13),
+    m=st.integers(0, 9),
+    dim=st.integers(1, 6),
+    block_rows=st.integers(2, 4),
+    levels=st.integers(0, 4),
+    given_a_sq=st.booleans(),
+)
+def test_sqdist_bytes_match_one_product(blocking, seed, n, m, dim, block_rows, levels, given_a_sq):
+    """The in-place, row-blocked distances against the one-expression
+    reference: one row a block, ``block_rows`` a block (the last one shorter
+    when they do not divide the rows) and one block; an empty a or b too.
+    A row of a repeats a row of b, so a distance may round below 0 and clamp."""
+    rng = np.random.default_rng(seed)
+    if levels:
+        a, b = (rng.integers(0, levels + 1, (rows, dim)) / levels for rows in (n, m))
+    else:
+        a, b = rng.standard_normal((n, dim)), rng.standard_normal((m, dim))
+    if n and m:
+        a[-1] = b[0]
+    budget = {"one_row": 1, "ragged": block_rows * m + m - 1, "one_block": 1 << 16}[blocking]
+    with mock.patch.object(index_module, "_SUM_ELEMENTS", budget):
+        got = sqdist(a, b, (a * a).sum(1) if given_a_sq else None)
+    want = reference_sqdist(a, b)
+    assert got.shape == want.shape == (n, m)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_sqdist_holds_one_distance_array():
+    """The result is the product, written over in place: the norm sums take
+    a fixed buffer beside it. A separate result used to double the peak."""
+    n, m, d = 2000, 300, 8
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((n, d)), rng.standard_normal((m, d))
+    tracemalloc.start()
+    try:
+        d2 = sqdist(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * m * 8 + (1 << 20)
+    assert d2.tobytes() == reference_sqdist(a, b).tobytes()
 
 
 class TestClassKmeans:

@@ -21,7 +21,6 @@ from test_metrics_pin import COMMON, CONFIGS, pin_data
     ("triplet", 7, "triplets", 3 * 16),
     ("nca", 10, "examples", 16),
 ])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_loss_aborts_naming_the_batch(objective, iteration, key, size):
     config = ExperimentConfig(**{**COMMON, **CONFIGS[objective], "learning_rate": 0.5})
     with pytest.raises(ContractError) as info:
