@@ -20,7 +20,6 @@ from .data import (
 )
 from .evaluate import (
     EvalContext,
-    SigmaTracker,
     attribute_precision,
     attribute_precision_values,
     classify_batch,

@@ -258,20 +258,3 @@ def hierarchy_recovery_eval(
     order = np.argsort(-scores, axis=1, kind="stable")[:, :5]
     hit5 = (order == test_fine[:, None]).any(axis=1)
     return err1, float(1.0 - hit5.mean())
-
-
-class SigmaTracker:
-    """Exponential moving average of minibatch variance estimates."""
-
-    def __init__(self, decay: float = 0.99):
-        if not 0 <= decay < 1:
-            raise ConfigurationError("decay must lie in [0, 1)")
-        self.decay = decay
-        self.value: Optional[float] = None
-
-    def update(self, sigma2: float) -> float:
-        if self.value is None:
-            self.value = float(sigma2)
-        else:
-            self.value = self.decay * self.value + (1 - self.decay) * float(sigma2)
-        return self.value

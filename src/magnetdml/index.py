@@ -80,8 +80,11 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centers
 
 
-# Elements of sqdist's buffer for the norm sums of a row block (512 KiB of float64)
-_SUM_ELEMENTS = 1 << 16
+# Elements of sqdist's buffer for the norm sums of a row block (64 KiB of
+# float64), below glibc's 128 KiB mmap threshold: a larger buffer is mapped
+# and faulted in afresh on every call (at 3600×30 with one BLAS thread, about
+# 363 minor faults and twice the time a call)
+_SUM_ELEMENTS = 1 << 13
 
 
 def sqdist(a: np.ndarray, b: np.ndarray, a_sq: Optional[np.ndarray] = None) -> np.ndarray:
@@ -237,17 +240,13 @@ def cluster_variance(points: np.ndarray, centers: np.ndarray, example_cluster) -
 
 def build_index(model, dataset: Dataset, k: int = 1, seed: int = 0,
                 loss_cache: Optional[np.ndarray] = None) -> ClusterIndex:
-    """Embed all inputs with ``model`` as it stands, then K-means per class.
-    The index keeps no reference to the model.
+    """Embed all inputs with ``model`` as it stands, refusing an embedding
+    that is not finite, then K-means per class. The index keeps no reference
+    to the model.
 
     The index shares ``loss_cache`` when one is given, else starts an empty
     (all NaN) one.
     """
-    centers, cluster_classes, example_cluster = class_kmeans(
-        model.embed(dataset.inputs), dataset.labels, k, seed, small="raise")
-    return ClusterIndex(
-        centers=centers,
-        cluster_classes=cluster_classes,
-        example_cluster=example_cluster,
-        loss_cache=loss_cache,
-    )
+    reps = model.finite_embed(dataset.inputs)
+    return ClusterIndex(*class_kmeans(reps, dataset.labels, k, seed, small="raise"),
+                        loss_cache=loss_cache)

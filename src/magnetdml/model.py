@@ -18,6 +18,9 @@ import numpy as np
 from .config import ExperimentConfig
 from .errors import ConfigurationError, ContractError, ParseError
 
+# numpy's warnings for what the finiteness screens then name in a ContractError
+_SCREENED = dict(over="ignore", invalid="ignore", divide="ignore")
+
 
 class ActivationTrace:
     """Per-layer inputs and pre-activations retained for the paired backward."""
@@ -93,6 +96,15 @@ class EmbeddingModel:
             h += b
             if i != last:
                 np.maximum(h, 0.0, out=h)
+        return h
+
+    def finite_embed(self, batch: np.ndarray) -> np.ndarray:
+        """:meth:`embed`, refused with a ContractError when an entry is not
+        finite, before K-means or a variance sees it."""
+        with np.errstate(**_SCREENED):
+            h = self.embed(batch)
+        if not np.isfinite(h).all():
+            raise ContractError("the model's embeddings are not finite")
         return h
 
     def backward(self, trace: ActivationTrace, representation_grads: np.ndarray):

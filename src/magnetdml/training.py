@@ -13,7 +13,8 @@ model and the batch and the one that ``grad-check`` checks, then, if the loss,
 the model's gradients and what ``non_finite(out)`` screens (the softmax
 head's gradients) are finite, the SGD step and ``after(batch, out, iteration)``;
 ``predict(iteration)`` classifies the test split for the eval rows and the
-report; ``sigma2()`` is the report variance; ``state()`` adds its own keys to
+report; ``sigma2()`` is the report variance, magnet's the moving average of its
+batches' variance that its ``after`` keeps; ``state()`` adds its own keys to
 ``training_state.json`` and ``resume(raw)`` copies them into its own arrays.
 :func:`train` returns the predictions of an eval at the run's last iteration,
 made after the loop if the loop did not make them, and the report counts them.
@@ -51,14 +52,11 @@ from . import losses as L
 from .config import ExperimentConfig
 from .data import Dataset, MixtureSpec, generate_mixture, load_dataset, split
 from .errors import ConfigurationError, ContractError, ParseError
-from .evaluate import (EvalContext, SigmaTracker, attribute_precision, classify_batch, confusion,
-                       error_rate, knc_context, reference_sigma2, soft_knn_context)
+from .evaluate import (EvalContext, attribute_precision, classify_batch, confusion, error_rate,
+                       knc_context, reference_sigma2, soft_knn_context)
 from .index import build_index
-from .model import EmbeddingModel, _pack, _unpack
+from .model import _SCREENED, EmbeddingModel, _pack, _unpack
 from .sampler import TripletMiner, sample_neighbourhood, sample_triplets
-
-# numpy's warnings for what the finiteness screens then name in a ContractError
-_SCREENED = dict(over="ignore", invalid="ignore", divide="ignore")
 
 
 @dataclass
@@ -146,7 +144,8 @@ class _Step:
     warning, reports the fault. The kinks are the unflattened hinge and
     rectifier arguments, which only grad-check reads. ``refresh(rng)``
     may draw from the training rng; only magnet's does. ``predict`` defaults
-    to soft kNN over the training set, built by ``context``."""
+    to soft kNN over the training set, built by ``context``. The contexts
+    and the magnet index embed through ``EmbeddingModel.finite_embed``."""
 
     metric = "soft_knn"
 
@@ -185,15 +184,17 @@ class _Step:
         return batch
 
     def predict(self, iteration) -> np.ndarray:
-        ctx = self.context(iteration)
-        return classify_batch(ctx, self.model.embed(self.test_data.inputs))
+        with np.errstate(**_SCREENED):
+            ctx = self.context(iteration)
+            return classify_batch(ctx, self.model.finite_embed(self.test_data.inputs))
 
     def context(self, iteration) -> EvalContext:
-        return soft_knn_context(self.model.embed(self.train_data.inputs), self.train_data.labels,
-                                l=self.config.eval_l)
+        return soft_knn_context(self.model.finite_embed(self.train_data.inputs),
+                                self.train_data.labels, l=self.config.eval_l)
 
     def sigma2(self) -> float:
-        return reference_sigma2(self.model.embed(self.train_data.inputs), self.train_data.labels)
+        return reference_sigma2(self.model.finite_embed(self.train_data.inputs),
+                                self.train_data.labels)
 
     def state(self) -> dict:
         return {}
@@ -207,7 +208,7 @@ class _MagnetStep(_Step):
 
     def __init__(self, config, train_data, test_data):
         super().__init__(config, train_data, test_data)
-        self.sigma = SigmaTracker(decay=config.sigma_decay)
+        self.variance: Optional[float] = None  # the moving average of batch_variance
         self.loss_cache = np.full(train_data.size, np.nan)
 
     def refresh(self, rng):
@@ -227,7 +228,8 @@ class _MagnetStep(_Step):
 
     def after(self, nb, result, iteration):
         self.index.update_loss_cache(nb.example_indices, result.example_losses)
-        self.sigma.update(result.batch_variance)
+        v, decay = result.batch_variance, self.config.sigma_decay
+        self.variance = v if self.variance is None else decay * self.variance + (1 - decay) * v
 
     def named(self, nb):
         return {"examples": nb.example_indices, "clusters": nb.clusters}
@@ -235,17 +237,17 @@ class _MagnetStep(_Step):
     def context(self, iteration) -> EvalContext:
         # a seed of its own: evaluation must not consume the training rng stream
         seed = (self.config.seed * 1_000_003 + iteration) % (2**31)
-        return knc_context(self.model.embed(self.train_data.inputs), self.train_data.labels,
-                           self.config.k, seed, self.sigma.value, l=self.config.eval_l)
+        return knc_context(self.model.finite_embed(self.train_data.inputs), self.train_data.labels,
+                           self.config.k, seed, self.variance, l=self.config.eval_l)
 
     def sigma2(self) -> float:
         # before any minibatch: the variance of the last eval's kNC index
-        if self.sigma.value is None:
+        if self.variance is None:
             return self.context(self.config.iterations - 1).sigma2
-        return self.sigma.value
+        return self.variance
 
     def state(self) -> dict:
-        return {"sigma2": self.sigma.value, "loss_cache": _pack(self.loss_cache)}
+        return {"sigma2": self.variance, "loss_cache": _pack(self.loss_cache)}
 
     def resume(self, raw):
         cache = _unpack(raw["loss_cache"], "loss_cache")
@@ -259,7 +261,7 @@ class _MagnetStep(_Step):
         if sigma2 is not None and not (type(sigma2) is float and 0 < sigma2 < math.inf):
             raise ValueError(f"'sigma2' = {sigma2!r} is not null or a positive finite float")
         self.loss_cache[...] = cache
-        self.sigma.value = sigma2
+        self.variance = sigma2
 
 
 class _TripletStep(_Step):

@@ -270,6 +270,22 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "head" in err
 
+    def test_resume_of_overflowing_weights_errors(self, tmp_path, capsys):
+        # the refresh's K-means used to escape main as numpy's raw
+        # "Probabilities contain NaN"
+        config = write_config(tmp_path, iterations=20)  # the state is the run's end
+        outdir = tmp_path / "out"
+        assert main(["train", str(config), str(outdir)]) == 0
+        path = outdir / "training_state.json"
+        state = json.loads(path.read_text())  # finite weights whose products overflow
+        state["weights"] = [_pack(_unpack(w, "weights") * 1e300) for w in state["weights"]]
+        path.write_text(json.dumps(state))
+        longer = write_config(tmp_path, name="longer.cfg", iterations=40)
+        capsys.readouterr()
+        assert main(["train", str(longer), str(tmp_path / "res"), "--resume", str(outdir)]) == 1
+        assert capsys.readouterr().err == "error: the model's embeddings are not finite\n"
+        assert not any((tmp_path / "res").iterdir())
+
     def test_bad_config_errors(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("objective = gravity\n")
@@ -467,11 +483,16 @@ class TestEval:
         assert "training_state.json" in err or "bad training state" in err
         assert not (tmp_path / "eval").exists()
 
-    # each used to exit 0 with the argmax or argmin of NaN rows as its
-    # predictions, and a report that held "sigma2": NaN
+    # softmax and ncmc each used to exit 0 with the argmax or argmin of NaN
+    # rows as its predictions, and a report that held "sigma2": NaN; magnet
+    # escaped main as numpy's "Probabilities contain NaN" from K-means, and
+    # triplet and nca blamed the config's sigma2 after three numpy warnings
     @pytest.mark.parametrize("objective, layer_dims, fault", [
         ("softmax", "2,16,8", "softmax logits"),
         ("ncmc", "2,8", "NCM distances"),
+        ("magnet", "2,16,8", "the model's embeddings"),
+        ("triplet", "2,16,8", "the model's embeddings"),
+        ("nca", "2,16,8", "the model's embeddings"),
     ])
     def test_overflowing_weights_refused(self, tmp_path, capsys, objective, layer_dims, fault):
         config = write_config(tmp_path, objective=objective, layer_dims=layer_dims,

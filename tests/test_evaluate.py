@@ -5,7 +5,6 @@ import pytest
 
 from magnetdml import (
     EvalContext,
-    SigmaTracker,
     attribute_precision,
     attribute_precision_values,
     classify_batch,
@@ -352,19 +351,3 @@ class TestHierarchyRecovery:
             3.0 * tr, trf, 3.0 * te, tef, sigma2=0.7 * 9.0, seed=2
         )
         assert base == scaled
-
-
-class TestSigmaTracker:
-    def test_first_update_sets_value(self):
-        t = SigmaTracker(decay=0.99)
-        assert t.update(2.0) == 2.0
-
-    def test_ema_recurrence(self):
-        t = SigmaTracker(decay=0.9)
-        t.update(1.0)
-        assert np.isclose(t.update(2.0), 0.9 * 1.0 + 0.1 * 2.0)
-        assert np.isclose(t.update(0.0), 0.9 * 1.1)
-
-    def test_bad_decay_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SigmaTracker(decay=1.0)

@@ -56,23 +56,54 @@ def test_magnet_batch_names_cluster_rows():
 def assert_abort_writes_nothing(corrupt, fault):
     """Step a magnet step once, then once more with ``corrupt`` wrapped
     around its objective: the second step names ``fault`` and leaves the
-    model, the velocities, the loss cache and sigma as they were."""
+    model, the velocities, the loss cache and the variance average as they were."""
     config = ExperimentConfig(**{**COMMON, **CONFIGS["magnet"]})
     step = _MagnetStep(config, *pin_data())
     rng = np.random.default_rng(0)
     step.refresh(rng)
-    step.step(0, rng)  # so that the velocities, the loss cache and sigma are set
+    step.step(0, rng)  # so that the velocities, the loss cache and the variance are set
     model = step.model
     arrays = lambda: [a.tobytes() for a in model.weights + model.biases + model.w_velocity
                       + model.b_velocity + [step.loss_cache]]
-    before, sigma2 = arrays(), step.sigma.value
+    before, variance = arrays(), step.variance
     step.objective = corrupt(step.objective)
     with pytest.raises(ContractError) as info:
         step.step(1, rng)
     assert str(info.value).startswith(f"non-finite {fault} at iteration 1; offending batch: ")
     assert arrays() == before
-    assert step.sigma.value == sigma2
+    assert step.variance == variance
     assert model.version == 1
+
+
+def test_magnet_variance_average_follows_the_batch_variances():
+    # the first batch's variance starts the average; each later one is
+    # decayed into it by sigma_decay, in the recurrence's order of terms
+    config = ExperimentConfig(**{**COMMON, **CONFIGS["magnet"], "sigma_decay": 0.5})
+    step = _MagnetStep(config, *pin_data())
+    rng = np.random.default_rng(0)
+    step.refresh(rng)
+    variances, objective = [], step.objective
+
+    def recording(model, nb):
+        loss, grads, kinks, result = objective(model, nb)
+        variances.append(result.batch_variance)
+        return loss, grads, kinks, result
+
+    step.objective = recording
+    assert step.variance is None
+    step.step(0, rng)
+    assert step.variance == variances[0]
+    step.step(1, rng)
+    assert step.variance.hex() == (0.5 * variances[0] + (1 - 0.5) * variances[1]).hex()
+    assert variances[0] != variances[1]
+
+
+def test_magnet_report_variance_follows_sigma_decay():
+    # no other training test sets sigma_decay: a step that ignored it passed
+    sigma2 = [train(ExperimentConfig(**{**COMMON, **CONFIGS["magnet"], "iterations": 30,
+                                        "sigma_decay": decay}), *pin_data()).sigma2
+              for decay in (0.99, 0.5)]
+    assert sigma2[0] != sigma2[1]
 
 
 def test_non_finite_loss_aborts_before_the_step_writes_anything():
