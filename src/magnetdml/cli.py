@@ -85,6 +85,10 @@ def _dispatch(args) -> int:
         config = load_run_config(args.run_dir)
         train_data, _ = resolve_datasets(config)
         dataset = load_dataset(args.dataset)
+        unseen = sorted(set(dataset.raw_labels) - set(train_data.raw_labels))
+        if unseen:
+            raise ConfigurationError(
+                f"the test set has labels {unseen} that the training set does not have")
         # labels are numbered densely per file: another class count shifts them
         if dataset.class_count != train_data.class_count:
             raise ConfigurationError(f"the test set has {dataset.class_count} classes, "

@@ -13,7 +13,7 @@ import operator
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,12 +29,15 @@ class Dataset:
     class_count) and every class represented at least once.
     ``attributes`` is either None or a row-aligned (N, A) 0/1 array; a dataset
     without attributes stores None so attribute metrics refuse to run instead
-    of silently reporting zeros.
+    of silently reporting zeros. ``raw_labels`` holds the label each class
+    had in its CSV, ascending (see :func:`load_dataset`); by default the
+    class numbers themselves.
     """
 
     inputs: np.ndarray
     labels: np.ndarray
     attributes: Optional[np.ndarray] = None
+    raw_labels: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
@@ -59,6 +62,9 @@ class Dataset:
         if (present == 0).any():
             missing = int(np.flatnonzero(present == 0)[0])
             raise ConfigurationError(f"class {missing} has no examples")
+        self.raw_labels = tuple(range(c) if self.raw_labels is None else self.raw_labels)
+        if len(self.raw_labels) != c:
+            raise ConfigurationError(f"{len(self.raw_labels)} raw labels for {c} classes")
         if self.attributes is not None:
             attributes = np.asarray(self.attributes)
             if attributes.ndim != 2 or attributes.shape[0] != len(self.inputs):
@@ -210,9 +216,10 @@ def load_dataset(path, attributes_path=None) -> Dataset:
     if attributes_path is not None:
         attributes = _load_attributes(attributes_path, expected_rows=len(labels))
     inputs = np.array(values, dtype=np.float64).reshape(len(labels), dim)
-    dense = {raw: c for c, raw in enumerate(sorted(set(labels)))}
+    raw_labels = sorted(set(labels))
+    dense = {raw: c for c, raw in enumerate(raw_labels)}
     return Dataset(inputs=inputs, labels=np.array([dense[raw] for raw in labels]),
-                   attributes=attributes)
+                   attributes=attributes, raw_labels=tuple(raw_labels))
 
 
 def _load_attributes(path, expected_rows: int) -> np.ndarray:
@@ -256,13 +263,14 @@ def _csv_rows(path):
 
 
 def save_dataset(dataset: Dataset, path, attributes_path=None):
-    """Write a dataset in the CSV schema read back by :func:`load_dataset`."""
+    """Write a dataset in the CSV schema read back by :func:`load_dataset`,
+    each class under its raw label."""
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["label"] + [f"f{i}" for i in range(dataset.dim)])
         for label, x in zip(dataset.labels, dataset.inputs):
-            writer.writerow([int(label)] + [repr(float(v)) for v in x])
+            writer.writerow([dataset.raw_labels[label]] + [repr(float(v)) for v in x])
     if dataset.attributes is not None and attributes_path is not None:
         with Path(attributes_path).open("w", newline="") as fh:
             writer = csv.writer(fh)
@@ -289,6 +297,7 @@ def split(dataset: Dataset, test_fraction: float, seed: int):
             inputs=dataset.inputs[mask],
             labels=dataset.labels[mask],
             attributes=None if dataset.attributes is None else dataset.attributes[mask],
+            raw_labels=dataset.raw_labels,
         )
 
     return subset(~test_mask), subset(test_mask)

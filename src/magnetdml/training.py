@@ -41,7 +41,6 @@ import csv
 import dataclasses
 import json
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -55,7 +54,7 @@ from .errors import ConfigurationError, ContractError, ParseError
 from .evaluate import (EvalContext, attribute_precision, classify_batch, confusion, error_rate,
                        knc_context, reference_sigma2, soft_knn_context)
 from .index import build_index
-from .model import _SCREENED, EmbeddingModel, _pack, _unpack
+from .model import _SCREENED, EmbeddingModel, _pack, _unpack, replace_file
 from .sampler import TripletMiner, sample_neighbourhood, sample_triplets
 
 
@@ -486,18 +485,19 @@ def _save_training_state(outdir, step, rng, iteration, state):
     """Write ``state``, the :func:`_dump_state` at ``iteration``, to
     ``training_state.json``, the resume point, then the model at
     ``iteration`` to ``checkpoint.bin``, an export for
-    ``EmbeddingModel.load``, each through a temporary file and ``os.replace``.
-    A ``None`` state, at an end off a refresh boundary, writes the export
-    only, beside the state the loop saved at the last boundary. A kill
-    between the writes leaves a whole state beside an older export."""
+    ``EmbeddingModel.load``, each with :func:`~magnetdml.model.replace_file`:
+    the ``.tmp`` file's blocks are allocated, the bytes written, and the file
+    renamed over the old one, which is the commit point. A ``None`` state, at
+    an end off a refresh boundary, writes the export only, beside the state
+    the loop saved at the last boundary. A kill at any point leaves a whole
+    state, between the writes beside an older export. Nothing is fsynced:
+    a power cut soon after a save can leave a state of zeros, which resume
+    refuses with a ``ParseError``."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for name, data in (("training_state.json", state), ("checkpoint.bin", step.model.to_bytes())):
-        if data is None:
-            continue
-        tmp = outdir / (name + ".tmp")
-        tmp.write_bytes(data)
-        os.replace(tmp, outdir / name)
+        if data is not None:
+            replace_file(outdir / name, data)
 
 
 @contextlib.contextmanager

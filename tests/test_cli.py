@@ -381,7 +381,8 @@ class TestEval:
         config, run = train_pin_run(tmp_path, objective, iterations)
         _, test = resolve_datasets(parse_config(config))
         shuffled = tmp_path / "test.csv"
-        save_dataset(Dataset(test.inputs[::-1], test.labels[::-1]), shuffled)
+        save_dataset(Dataset(test.inputs[::-1], test.labels[::-1], raw_labels=test.raw_labels),
+                     shuffled)
         assert main(["eval", str(run), str(shuffled), str(tmp_path / "eval")]) == 0
         assert (tmp_path / "eval" / "report.json").read_bytes() == (run / "report.json").read_bytes()
 
@@ -461,6 +462,28 @@ class TestEval:
         assert main(["eval", str(run), str(data), str(tmp_path / "eval")]) == 1
         assert capsys.readouterr().err == (
             "error: the test set has 3 classes, the training set has 4\n")
+        assert not (tmp_path / "eval").exists()
+
+    def test_dataset_with_a_label_the_run_never_saw_errors(self, tmp_path, capsys):
+        # with raw label 40 in place of 10, the file numbers 20, 30 and 40 as
+        # classes 0, 1 and 2, not 1, 2 and a new one: eval exited 0 with
+        # error_rate 1.0 for points the run tells apart
+        rng = np.random.default_rng(0)
+        centers = {10: [0.0, 0.0], 20: [4.0, 0.0], 30: [0.0, 4.0]}
+        data = tmp_path / "data.csv"
+        data.write_text("label,f0,f1\n" + "".join(
+            f"{raw},{x!r},{y!r}\n" for raw, center in centers.items()
+            for x, y in (center + 0.5 * rng.standard_normal((60, 2))).tolist()))
+        config = write_config(tmp_path, objective="nca", mixture_spec=None, dataset=data,
+                              iterations=100, batch_size=16)
+        run = tmp_path / "run"
+        assert main(["train", str(config), str(run)]) == 0
+        relabelled = tmp_path / "relabelled.csv"
+        relabelled.write_text(data.read_text().replace("\n10,", "\n40,"))
+        capsys.readouterr()
+        assert main(["eval", str(run), str(relabelled), str(tmp_path / "eval")]) == 1
+        assert capsys.readouterr().err == (
+            "error: the test set has labels [40] that the training set does not have\n")
         assert not (tmp_path / "eval").exists()
 
     # was a truncated checkpoint.bin, which eval no longer reads

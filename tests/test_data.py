@@ -131,6 +131,18 @@ class TestLoadDataset:
         p.write_text("label,f0\n9,1.0\n5,2.0\n9,3.0\n")
         assert load_dataset(p).labels.tolist() == [1, 0, 1]
 
+    def test_raw_labels_kept_through_split_and_save(self, tmp_path):
+        # save_dataset used to write the class numbers 0 and 1 for 5 and 9
+        p = tmp_path / "d.csv"
+        p.write_text("label,f0\n9,1.0\n5,2.0\n9,3.0\n5,4.0\n")
+        ds = load_dataset(p)
+        assert ds.raw_labels == (5, 9)
+        assert all(part.raw_labels == (5, 9) for part in split(ds, 0.5, seed=0))
+        save_dataset(ds, tmp_path / "back.csv")
+        assert (tmp_path / "back.csv").read_text() == p.read_text()
+        with pytest.raises(ConfigurationError, match="1 raw labels for 2 classes"):
+            Dataset(ds.inputs, ds.labels, raw_labels=(5,))
+
     def test_label_only_file_rejected(self, tmp_path):
         # a header of 'label' alone used to load as a (3, 0) dataset
         p = tmp_path / "d.csv"

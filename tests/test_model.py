@@ -1,5 +1,6 @@
 import base64
 import json
+import os
 import struct
 import tracemalloc
 from unittest import mock
@@ -201,6 +202,22 @@ class TestCheckpoint:
         assert back.layer_dims == m.layer_dims
         for a, b in zip(m.weights + m.biases, back.weights + back.biases):
             assert (a == b).all()
+
+    def test_save_cut_short_leaves_the_previous_file_whole(self, tmp_path, monkeypatch):
+        # the save used to truncate the checkpoint in place before writing it
+        p = tmp_path / "checkpoint.bin"
+        EmbeddingModel([3, 5, 2], seed=9).save(p)
+        before = p.read_bytes()
+        write = os.write
+
+        def write_half(fd, data):
+            write(fd, data[:len(data) // 2])
+            raise OSError("injected fault")
+
+        monkeypatch.setattr(os, "write", write_half)
+        with pytest.raises(OSError, match="injected fault"):
+            EmbeddingModel([3, 5, 2], seed=10).save(p)
+        assert p.read_bytes() == before
 
     def test_load_decodes_each_blob_once(self, tmp_path):
         # the weight blobs used to be decoded twice: once for the layer dims,
